@@ -6,12 +6,21 @@
 //! the document: booleans OR, `near` takes the best proximity, descriptors
 //! sum per-sentence confidences (§4.4.1(c)). Every `mᵢ` is capped at 1.0,
 //! matching Appendix A's footnote that the total score never exceeds 1.
+//!
+//! Conditions that consult the document (`FollowedBy` / `PrecededBy` /
+//! `Near` / descriptors) read it through a per-document evidence index
+//! (`DocEvidence`): built lazily, at most once per document, and never for
+//! queries whose conditions look at the value alone. It turns "scan every
+//! sentence for the value" into a postings lookup and memoises what every
+//! value of the document would otherwise recompute (sentence decomposition,
+//! which descriptor expansions a sentence can match at all).
 
-use crate::binder::{token_occurrences, CompiledQuery};
+use crate::binder::CompiledQuery;
 use koko_embed::Embeddings;
 use koko_index::{BlockVocab, ShardBoundStats, TokenVocab};
 use koko_lang::{Cond, Pred};
-use koko_nlp::{decompose, gazetteer, Document, Sentence};
+use koko_nlp::{decompose, gazetteer, Clause, Document, Tid};
+use std::cell::OnceCell;
 use std::collections::HashMap;
 
 /// Aggregation options (a slice of the engine options).
@@ -40,9 +49,10 @@ impl Default for AggOpts {
 
 /// Upper bound on the score any row of one shard can reach, derived from
 /// the compiled query plus [`ShardBoundStats`] alone — no document is
-/// loaded or extracted. This is the max-score/WAND-style bound that lets
-/// `ScoreDesc` top-k skip documents which provably cannot beat the current
-/// k-th score.
+/// loaded or extracted. `feasible == false` lets every request mode skip
+/// the covered documents outright; the numeric bound is the
+/// max-score/WAND-style bound that lets `ScoreDesc` top-k skip documents
+/// which provably cannot beat the current k-th score.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ShardScoreBound {
     /// Whether any tuple in the shard could clear *every* satisfying
@@ -57,19 +67,62 @@ pub struct ShardScoreBound {
     pub bound: f64,
 }
 
-/// Cached evaluation state for one query: descriptor expansions and clause
-/// decompositions are computed once.
+/// `E(d)` of one descriptor: its expansions as word-id sequences over the
+/// distinct words they use, so "which expansions can this document match
+/// at all" costs one postings probe per distinct word.
+struct Expansions {
+    /// Distinct lower-cased words across all expansions.
+    vocab: Vec<String>,
+    /// Each expansion: ids into `vocab` + its similarity score `kᵢ`.
+    exps: Vec<(Vec<u32>, f64)>,
+}
+
+impl Expansions {
+    fn new(phrases: Vec<(String, f64)>) -> Expansions {
+        let mut ids: HashMap<String, u32> = HashMap::new();
+        let mut vocab = Vec::new();
+        let exps = phrases
+            .into_iter()
+            .map(|(phrase, score)| {
+                let seq = phrase
+                    .split_whitespace()
+                    .map(|w| {
+                        *ids.entry(w.to_string()).or_insert_with(|| {
+                            vocab.push(w.to_string());
+                            (vocab.len() - 1) as u32
+                        })
+                    })
+                    .collect();
+                (seq, score)
+            })
+            .collect();
+        Expansions { vocab, exps }
+    }
+
+    fn words<'s>(&'s self, seq: &'s [u32]) -> impl Iterator<Item = &'s str> {
+        seq.iter().map(|&id| self.vocab[id as usize].as_str())
+    }
+}
+
+/// Cached evaluation state for one query: descriptor expansions and the
+/// lower-cased literals of phrase conditions are computed once.
 pub struct Aggregator<'a> {
     cq: &'a CompiledQuery,
     embed: &'a Embeddings,
     opts: AggOpts,
-    /// descriptor → expansions (each a lower-cased word sequence + score).
-    expansions: HashMap<String, Vec<(Vec<String>, f64)>>,
+    /// descriptor → index into `expansions`.
+    descriptor_ids: HashMap<String, usize>,
+    expansions: Vec<Expansions>,
+    /// Literal of a `FollowedBy` / `PrecededBy` / `Near` condition → its
+    /// lower-cased words.
+    phrases: HashMap<String, Vec<String>>,
 }
 
 impl<'a> Aggregator<'a> {
     pub fn new(cq: &'a CompiledQuery, embed: &'a Embeddings, opts: AggOpts) -> Aggregator<'a> {
-        let mut expansions = HashMap::new();
+        let mut descriptor_ids = HashMap::new();
+        let mut expansions = Vec::new();
+        let mut phrases = HashMap::new();
         for cond in cq
             .norm
             .satisfying
@@ -77,8 +130,8 @@ impl<'a> Aggregator<'a> {
             .flat_map(|s| s.conds.iter().map(|w| &w.cond))
             .chain(cq.norm.excluding.iter())
         {
-            if let Pred::DescRight(d) | Pred::DescLeft(d) = &cond.pred {
-                if !expansions.contains_key(d) {
+            match &cond.pred {
+                Pred::DescRight(d) | Pred::DescLeft(d) if !descriptor_ids.contains_key(d) => {
                     let exps = if opts.use_descriptors {
                         embed.expand(d, opts.expansion_k, opts.expansion_min_sim)
                     } else {
@@ -86,24 +139,22 @@ impl<'a> Aggregator<'a> {
                         // paraphrases (Figure 5's "Without descriptors").
                         vec![(d.to_lowercase(), 1.0)]
                     };
-                    let word_seqs = exps
-                        .into_iter()
-                        .map(|(p, s)| {
-                            (
-                                p.split_whitespace().map(str::to_string).collect::<Vec<_>>(),
-                                s,
-                            )
-                        })
-                        .collect();
-                    expansions.insert(d.clone(), word_seqs);
+                    descriptor_ids.insert(d.clone(), expansions.len());
+                    expansions.push(Expansions::new(exps));
                 }
+                Pred::FollowedBy(s) | Pred::PrecededBy(s) | Pred::Near(s) => {
+                    phrases.entry(s.clone()).or_insert_with(|| lower_words(s));
+                }
+                _ => {}
             }
         }
         Aggregator {
             cq,
             embed,
             opts,
+            descriptor_ids,
             expansions,
+            phrases,
         }
     }
 
@@ -112,26 +163,59 @@ impl<'a> Aggregator<'a> {
         clause_threshold.unwrap_or(self.opts.default_threshold)
     }
 
+    /// The evidence view of one document, to score many values against.
+    /// Creating it is free: the index behind it is built on the first
+    /// condition that consults the document.
+    pub(crate) fn evidence<'d>(&self, doc: &'d Document) -> DocEvidence<'d> {
+        DocEvidence {
+            doc,
+            num_descriptors: self.expansions.len(),
+            index: OnceCell::new(),
+        }
+    }
+
     /// `score(e)` for a candidate value across one document (§4.4.1).
     pub fn score(&self, doc: &Document, value: &str, conds: &[koko_lang::WeightedCond]) -> f64 {
+        self.score_in(&self.evidence(doc), value, conds)
+    }
+
+    /// [`Aggregator::score`] against a document's shared evidence view.
+    pub(crate) fn score_in(
+        &self,
+        ev: &DocEvidence<'_>,
+        value: &str,
+        conds: &[koko_lang::WeightedCond],
+    ) -> f64 {
+        let probe = Probe::new(value);
         conds
             .iter()
-            .map(|wc| wc.weight * self.confidence(doc, value, &wc.cond))
+            .map(|wc| wc.weight * self.confidence_in(ev, &probe, &wc.cond))
             .sum()
     }
 
     /// Whether an excluding condition holds for the value (boolean reading;
     /// scored conditions count when they reach 0.5).
     pub fn excluded(&self, doc: &Document, value: &str) -> bool {
+        self.excluded_in(&self.evidence(doc), value)
+    }
+
+    /// [`Aggregator::excluded`] against a document's shared evidence view.
+    pub(crate) fn excluded_in(&self, ev: &DocEvidence<'_>, value: &str) -> bool {
+        let probe = Probe::new(value);
         self.cq
             .norm
             .excluding
             .iter()
-            .any(|c| self.confidence(doc, value, c) >= 0.5)
+            .any(|c| self.confidence_in(ev, &probe, c) >= 0.5)
     }
 
     /// `mᵢ(e)`: the per-condition confidence, capped at 1.
     pub fn confidence(&self, doc: &Document, value: &str, cond: &Cond) -> f64 {
+        self.confidence_in(&self.evidence(doc), &Probe::new(value), cond)
+    }
+
+    fn confidence_in(&self, ev: &DocEvidence<'_>, probe: &Probe<'_>, cond: &Cond) -> f64 {
+        let value = probe.value;
         let m = match &cond.pred {
             // ---- value-only conditions (no corpus access) ---------------
             Pred::Contains(s) => bool_score(token_seq_contains(value, s)),
@@ -144,11 +228,11 @@ impl<'a> Aggregator<'a> {
                     .unwrap_or(false),
             ),
             // ---- evidence gathered across the document ------------------
-            Pred::FollowedBy(s) => bool_score(self.followed_by(doc, value, s, true)),
-            Pred::PrecededBy(s) => bool_score(self.followed_by(doc, value, s, false)),
-            Pred::Near(s) => self.near(doc, value, s),
-            Pred::DescRight(d) => self.descriptor(doc, value, d, true),
-            Pred::DescLeft(d) => self.descriptor(doc, value, d, false),
+            Pred::FollowedBy(s) => bool_score(self.followed_by(ev, probe, s, true)),
+            Pred::PrecededBy(s) => bool_score(self.followed_by(ev, probe, s, false)),
+            Pred::Near(s) => self.near(ev, probe, s),
+            Pred::DescRight(d) => self.descriptor(ev, probe, d, true),
+            Pred::DescLeft(d) => self.descriptor(ev, probe, d, false),
         };
         m.min(1.0)
     }
@@ -176,6 +260,24 @@ impl<'a> Aggregator<'a> {
     /// statistics, and an infeasible block provably contributes no rows.
     pub fn block_score_bound(&self, vocab: &BlockVocab<'_>) -> ShardScoreBound {
         self.score_bound(Some(vocab))
+    }
+
+    /// Whether any vocabulary can tighten this query's bounds at all. When
+    /// no satisfying condition has a token-level gate (similarity, regex
+    /// and substring matching — or no clause at all), every block bound
+    /// equals the statistics-free one and is not worth deriving.
+    pub(crate) fn bounds_consult_vocabulary(&self) -> bool {
+        self.cq
+            .norm
+            .satisfying
+            .iter()
+            .flat_map(|clause| &clause.conds)
+            .any(|wc| {
+                !matches!(
+                    wc.cond.pred,
+                    Pred::Mentions(_) | Pred::Matches(_) | Pred::SimilarTo(_)
+                )
+            })
     }
 
     /// The bound derivation itself, generic over any [`TokenVocab`]
@@ -243,7 +345,7 @@ impl<'a> Aggregator<'a> {
                 }))
             }
             Pred::FollowedBy(s) | Pred::PrecededBy(s) | Pred::Near(s) => {
-                let words = lower_words(s);
+                let words = self.phrase(s);
                 if words.is_empty() {
                     return 0.0;
                 }
@@ -253,16 +355,17 @@ impl<'a> Aggregator<'a> {
                 }
             }
             Pred::DescRight(d) | Pred::DescLeft(d) => {
-                let Some(exps) = self.expansions.get(d) else {
+                let Some(exps) = self.descriptor_ids.get(d).map(|&di| &self.expansions[di]) else {
                     return 0.0;
                 };
-                if exps.is_empty() {
+                if exps.exps.is_empty() {
                     return 0.0; // nothing expanded ⇒ descriptor never fires
                 }
                 match vocab {
                     Some(st) => bool_score(
-                        exps.iter()
-                            .any(|(words, _)| st.has_all_tokens(words.iter().map(String::as_str))),
+                        exps.exps
+                            .iter()
+                            .any(|(seq, _)| st.has_all_tokens(exps.words(seq))),
                     ),
                     None => 1.0,
                 }
@@ -270,9 +373,469 @@ impl<'a> Aggregator<'a> {
         }
     }
 
+    /// The lower-cased words of a phrase condition's literal.
+    fn phrase(&self, s: &str) -> &[String] {
+        self.phrases.get(s).map_or(&[], Vec::as_slice)
+    }
+
     /// Any occurrence of `value` immediately followed (or preceded) by the
     /// token sequence of `s`.
-    fn followed_by(&self, doc: &Document, value: &str, s: &str, right: bool) -> bool {
+    fn followed_by(&self, ev: &DocEvidence<'_>, probe: &Probe<'_>, s: &str, right: bool) -> bool {
+        let swords = self.phrase(s);
+        if swords.is_empty() {
+            return false;
+        }
+        let ix = ev.index();
+        probe.occurrences(ix).iter().any(|o| {
+            let lowers = ix.sentence(o.sentence);
+            let at = if right {
+                Some(o.end as usize)
+            } else {
+                (o.start as usize).checked_sub(swords.len())
+            };
+            at.is_some_and(|p| matches_at(lowers, p, swords))
+        })
+    }
+
+    /// Best proximity score `1/(1+distance)` across the document (§4.4.1).
+    fn near(&self, ev: &DocEvidence<'_>, probe: &Probe<'_>, s: &str) -> f64 {
+        let swords = self.phrase(s);
+        if swords.is_empty() {
+            return 0.0;
+        }
+        let ix = ev.index();
+        let mut best: f64 = 0.0;
+        for group in probe
+            .occurrences(ix)
+            .chunk_by(|a, b| a.sentence == b.sentence)
+        {
+            let lowers = ix.sentence(group[0].sentence);
+            for ss in (0..lowers.len()).filter(|&p| matches_at(lowers, p, swords)) {
+                let (ss, se) = (ss as u32, (ss + swords.len()) as u32);
+                for o in group {
+                    // Tokens separating the two occurrences.
+                    let distance = if se <= o.start {
+                        (o.start - se) as f64
+                    } else if o.end <= ss {
+                        (ss - o.end) as f64
+                    } else {
+                        0.0 // overlapping
+                    };
+                    best = best.max(1.0 / (1.0 + distance));
+                }
+            }
+        }
+        best
+    }
+
+    /// Descriptor confidence (§4.4.1(c)): per sentence containing the
+    /// value, decompose into canonical clauses, match each expansion
+    /// against clauses on the stated side of the value (damped by the
+    /// `near` proximity formula), take the best expansion, and sum over
+    /// sentences.
+    ///
+    /// Only expansions whose every word occurs in the sentence are tried:
+    /// any other matches no clause, sums to exactly `0.0`, and cannot
+    /// raise a maximum that starts at `0.0` — so a sentence none can match
+    /// is never even decomposed, and scores are bit-identical to trying
+    /// all of `E(d)`.
+    fn descriptor(&self, ev: &DocEvidence<'_>, probe: &Probe<'_>, d: &str, right: bool) -> f64 {
+        let Some(&di) = self.descriptor_ids.get(d) else {
+            return 0.0;
+        };
+        let exps = &self.expansions[di];
+        let ix = ev.index();
+        let mut total = 0.0;
+        let mut sides: Vec<&[Tid]> = Vec::new();
+        for group in probe
+            .occurrences(ix)
+            .chunk_by(|a, b| a.sentence == b.sentence)
+        {
+            let sentence = group[0].sentence;
+            let live = ix.live_expansions(sentence, di, exps);
+            if live.is_empty() {
+                continue;
+            }
+            let clauses = ix.clauses(ev.doc, sentence);
+            let lowers = ix.sentence(sentence);
+            // Clause tokens on the stated side of each occurrence: clause
+            // tokens are in surface order, so that is a suffix (right) or
+            // a prefix (left) — the same for every expansion.
+            sides.clear();
+            for clause in clauses {
+                for o in group {
+                    sides.push(if right {
+                        &clause.tokens[clause.tokens.partition_point(|&t| t < o.end)..]
+                    } else {
+                        &clause.tokens[..clause.tokens.partition_point(|&t| t < o.start)]
+                    });
+                }
+            }
+            // max over expansions of (sum over clauses).
+            let mut sentence_conf: f64 = 0.0;
+            for &e in live {
+                let (seq, ki) = &exps.exps[e as usize];
+                let mut sum = 0.0;
+                for (clause, clause_sides) in clauses.iter().zip(sides.chunks(group.len())) {
+                    // Best over the occurrences (the closest one wins).
+                    let mut best_clause: f64 = 0.0;
+                    for (o, side) in group.iter().zip(clause_sides) {
+                        if let Some(first_match) = seq_occurs(lowers, side, exps.words(seq)) {
+                            let distance = if right {
+                                (first_match as f64 - o.end as f64).max(0.0)
+                            } else {
+                                (o.start as f64 - first_match as f64 - 1.0).max(0.0)
+                            };
+                            let prox = 1.0 / (1.0 + distance);
+                            best_clause = best_clause.max(ki * clause.score * prox);
+                        }
+                    }
+                    sum += best_clause;
+                }
+                sentence_conf = sentence_conf.max(sum);
+            }
+            total += sentence_conf;
+        }
+        total
+    }
+}
+
+/// One occurrence of a value in a document: sentence index and half-open
+/// token span within it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Occurrence {
+    sentence: u32,
+    start: u32,
+    end: u32,
+}
+
+/// One candidate value while its conditions are evaluated: lower-cased and
+/// located in the document at most once, however many conditions ask.
+struct Probe<'v> {
+    value: &'v str,
+    occurrences: OnceCell<Vec<Occurrence>>,
+}
+
+impl<'v> Probe<'v> {
+    fn new(value: &'v str) -> Probe<'v> {
+        Probe {
+            value,
+            occurrences: OnceCell::new(),
+        }
+    }
+
+    /// Where the value occurs, in document order.
+    fn occurrences(&self, ix: &EvidenceIndex<'_>) -> &[Occurrence] {
+        self.occurrences
+            .get_or_init(|| ix.occurrences(&lower_words(self.value)))
+    }
+}
+
+/// One document as the document-consulting conditions see it. The index is
+/// built on first use, so clauses over the value alone never pay for it.
+pub(crate) struct DocEvidence<'d> {
+    doc: &'d Document,
+    num_descriptors: usize,
+    index: OnceCell<EvidenceIndex<'d>>,
+}
+
+impl<'d> DocEvidence<'d> {
+    fn index(&self) -> &EvidenceIndex<'d> {
+        self.index
+            .get_or_init(|| EvidenceIndex::build(self.doc, self.num_descriptors))
+    }
+
+    /// Whether any condition consulted the document so far.
+    #[cfg(test)]
+    fn is_built(&self) -> bool {
+        self.index.get().is_some()
+    }
+}
+
+const NO_NEXT: u32 = u32::MAX;
+
+/// Token → position postings over one document, plus per-sentence memos.
+struct EvidenceIndex<'d> {
+    /// Every token's lower-cased form, sentence after sentence.
+    lowers: Vec<&'d str>,
+    /// Sentence `s` covers `lowers[starts[s]..starts[s + 1]]`.
+    starts: Vec<u32>,
+    /// Flat position → sentence.
+    sentence_of: Vec<u32>,
+    /// Token → its first flat position; `next` chains the later ones in
+    /// ascending order (`NO_NEXT` ends a chain).
+    first: HashMap<&'d str, u32>,
+    next: Vec<u32>,
+    /// Canonical clauses per sentence, decomposed on first use.
+    clauses: Vec<OnceCell<Vec<Clause>>>,
+    /// Per descriptor: the expansions whose every word occurs somewhere in
+    /// the document.
+    doc_live: Vec<OnceCell<Vec<u32>>>,
+    /// Per (sentence, descriptor), sentence-major: the subset of
+    /// `doc_live` whose every word occurs in that sentence.
+    sentence_live: Vec<OnceCell<Vec<u32>>>,
+}
+
+impl<'d> EvidenceIndex<'d> {
+    fn build(doc: &'d Document, num_descriptors: usize) -> EvidenceIndex<'d> {
+        let n = doc.num_tokens();
+        let mut lowers = Vec::with_capacity(n);
+        let mut starts = Vec::with_capacity(doc.sentences.len() + 1);
+        let mut sentence_of = Vec::with_capacity(n);
+        for (s, sentence) in doc.sentences.iter().enumerate() {
+            starts.push(lowers.len() as u32);
+            for token in &sentence.tokens {
+                lowers.push(token.lower.as_str());
+                sentence_of.push(s as u32);
+            }
+        }
+        starts.push(lowers.len() as u32);
+        // Back to front, so every chain runs in ascending position order.
+        let mut first: HashMap<&str, u32> = HashMap::with_capacity(lowers.len());
+        let mut next = vec![NO_NEXT; lowers.len()];
+        for (i, &w) in lowers.iter().enumerate().rev() {
+            if let Some(later) = first.insert(w, i as u32) {
+                next[i] = later;
+            }
+        }
+        fn cells<T>(n: usize) -> Vec<OnceCell<T>> {
+            (0..n).map(|_| OnceCell::new()).collect()
+        }
+        EvidenceIndex {
+            lowers,
+            starts,
+            sentence_of,
+            first,
+            next,
+            clauses: cells(doc.sentences.len()),
+            doc_live: cells(num_descriptors),
+            sentence_live: cells(doc.sentences.len() * num_descriptors),
+        }
+    }
+
+    /// The lower-cased tokens of one sentence.
+    fn sentence(&self, s: u32) -> &[&'d str] {
+        &self.lowers[self.starts[s as usize] as usize..self.starts[s as usize + 1] as usize]
+    }
+
+    /// All occurrences of a lower-cased word sequence, in document order:
+    /// the postings of its first word, each checked for the rest.
+    fn occurrences(&self, words: &[String]) -> Vec<Occurrence> {
+        let mut out = Vec::new();
+        let Some(w0) = words.first() else {
+            return out;
+        };
+        let mut at = self.first.get(w0.as_str()).copied().unwrap_or(NO_NEXT);
+        while at != NO_NEXT {
+            let sentence = self.sentence_of[at as usize];
+            let start = at - self.starts[sentence as usize];
+            if matches_at(self.sentence(sentence), start as usize, words) {
+                out.push(Occurrence {
+                    sentence,
+                    start,
+                    end: start + words.len() as u32,
+                });
+            }
+            at = self.next[at as usize];
+        }
+        out
+    }
+
+    fn clauses(&self, doc: &Document, s: u32) -> &[Clause] {
+        self.clauses[s as usize].get_or_init(|| decompose(&doc.sentences[s as usize]))
+    }
+
+    /// The expansions of descriptor `di` that sentence `s` could match.
+    fn live_expansions(&self, s: u32, di: usize, exps: &Expansions) -> &[u32] {
+        let doc_live = self.doc_live[di].get_or_init(|| {
+            let present: Vec<bool> = exps
+                .vocab
+                .iter()
+                .map(|w| self.first.contains_key(w.as_str()))
+                .collect();
+            (0..exps.exps.len() as u32)
+                .filter(|&e| exps.exps[e as usize].0.iter().all(|&w| present[w as usize]))
+                .collect()
+        });
+        self.sentence_live[s as usize * self.doc_live.len() + di].get_or_init(|| {
+            let lowers = self.sentence(s);
+            doc_live
+                .iter()
+                .copied()
+                .filter(|&e| {
+                    exps.words(&exps.exps[e as usize].0)
+                        .all(|w| lowers.contains(&w))
+                })
+                .collect()
+        })
+    }
+}
+
+fn bool_score(b: bool) -> f64 {
+    if b {
+        1.0
+    } else {
+        0.0
+    }
+}
+
+fn lower_words(s: &str) -> Vec<String> {
+    s.split_whitespace().map(|w| w.to_lowercase()).collect()
+}
+
+/// Token-level containment: the token sequence of `needle` appears in the
+/// token sequence of `hay` (the paper's `contains`; "chocolate ice cream"
+/// contains "ice" but not "choc").
+fn token_seq_contains(hay: &str, needle: &str) -> bool {
+    let h: Vec<&str> = hay.split_whitespace().collect();
+    let n: Vec<&str> = needle.split_whitespace().collect();
+    if n.is_empty() || h.len() < n.len() {
+        return false;
+    }
+    (0..=h.len() - n.len()).any(|i| n.iter().enumerate().all(|(j, w)| h[i + j] == *w))
+}
+
+/// Whether `words` matches a sentence's lower-cased tokens starting at
+/// `pos`.
+fn matches_at(lowers: &[&str], pos: usize, words: &[String]) -> bool {
+    lowers
+        .get(pos..pos + words.len())
+        .is_some_and(|window| window.iter().zip(words).all(|(t, w)| *t == w.as_str()))
+}
+
+/// Whether the word sequence `seq` occurs within the (sorted) token
+/// positions `positions` of the sentence, in order with gaps allowed
+/// (§4.4.1(c)'s occurrence definition); returns the position of the first
+/// matched word.
+fn seq_occurs<'w>(
+    lowers: &[&str],
+    positions: &[Tid],
+    mut seq: impl Iterator<Item = &'w str>,
+) -> Option<Tid> {
+    let mut want = seq.next()?;
+    let mut first = None;
+    for &p in positions {
+        if lowers[p as usize] == want {
+            first = first.or(Some(p));
+            match seq.next() {
+                Some(w) => want = w,
+                None => return first,
+            }
+        }
+    }
+    None
+}
+
+/// The straightforward evaluation of the document-consulting conditions —
+/// scan every sentence for the value, decompose it again, try every
+/// expansion — kept as the oracle the indexed kernel is checked against
+/// bit for bit.
+#[cfg(test)]
+mod reference {
+    use super::*;
+    use crate::binder::token_occurrences;
+    use koko_nlp::Sentence;
+
+    impl Aggregator<'_> {
+        pub(super) fn reference_score(
+            &self,
+            doc: &Document,
+            value: &str,
+            conds: &[koko_lang::WeightedCond],
+        ) -> f64 {
+            conds
+                .iter()
+                .map(|wc| wc.weight * self.reference_confidence(doc, value, &wc.cond))
+                .sum()
+        }
+
+        pub(super) fn reference_excluded(&self, doc: &Document, value: &str) -> bool {
+            self.cq
+                .norm
+                .excluding
+                .iter()
+                .any(|c| self.reference_confidence(doc, value, c) >= 0.5)
+        }
+
+        fn reference_confidence(&self, doc: &Document, value: &str, cond: &Cond) -> f64 {
+            let m = match &cond.pred {
+                Pred::FollowedBy(s) => bool_score(followed_by(doc, value, s, true)),
+                Pred::PrecededBy(s) => bool_score(followed_by(doc, value, s, false)),
+                Pred::Near(s) => near(doc, value, s),
+                Pred::DescRight(d) => self.reference_descriptor(doc, value, d, true),
+                Pred::DescLeft(d) => self.reference_descriptor(doc, value, d, false),
+                // Value-only conditions have one implementation.
+                _ => return self.confidence(doc, value, cond),
+            };
+            m.min(1.0)
+        }
+
+        fn reference_descriptor(&self, doc: &Document, value: &str, d: &str, right: bool) -> f64 {
+            let Some(exps) = self.descriptor_ids.get(d).map(|&di| &self.expansions[di]) else {
+                return 0.0;
+            };
+            let exps: Vec<(Vec<String>, f64)> = exps
+                .exps
+                .iter()
+                .map(|(seq, k)| (exps.words(seq).map(str::to_string).collect(), *k))
+                .collect();
+            let vwords = lower_words(value);
+            if vwords.is_empty() {
+                return 0.0;
+            }
+            let mut total = 0.0;
+            for sentence in &doc.sentences {
+                let occurrences = token_occurrences(sentence, &vwords);
+                if occurrences.is_empty() {
+                    continue;
+                }
+                let clauses = decompose(sentence);
+                let lowers: Vec<&str> = sentence.tokens.iter().map(|t| t.lower.as_str()).collect();
+                // max over expansions of (sum over clauses).
+                let mut sentence_conf: f64 = 0.0;
+                for (di, ki) in &exps {
+                    let mut sum = 0.0;
+                    for clause in &clauses {
+                        // Clause tokens on the correct side of the closest
+                        // occurrence.
+                        let mut best_clause: f64 = 0.0;
+                        for &(vs, ve) in &occurrences {
+                            let side_tokens: Vec<usize> = clause
+                                .tokens
+                                .iter()
+                                .map(|&t| t as usize)
+                                .filter(|&t| {
+                                    if right {
+                                        t >= ve as usize
+                                    } else {
+                                        t < vs as usize
+                                    }
+                                })
+                                .collect();
+                            if side_tokens.is_empty() {
+                                continue;
+                            }
+                            if let Some(first_match) = seq_occurs(&lowers, &side_tokens, di) {
+                                let distance = if right {
+                                    (first_match as f64 - ve as f64).max(0.0)
+                                } else {
+                                    (vs as f64 - first_match as f64 - 1.0).max(0.0)
+                                };
+                                let prox = 1.0 / (1.0 + distance);
+                                best_clause = best_clause.max(ki * clause.score * prox);
+                            }
+                        }
+                        sum += best_clause;
+                    }
+                    sentence_conf = sentence_conf.max(sum);
+                }
+                total += sentence_conf;
+            }
+            total
+        }
+    }
+
+    fn followed_by(doc: &Document, value: &str, s: &str, right: bool) -> bool {
         let vwords = lower_words(value);
         let swords = lower_words(s);
         if vwords.is_empty() || swords.is_empty() {
@@ -295,8 +858,7 @@ impl<'a> Aggregator<'a> {
         false
     }
 
-    /// Best proximity score `1/(1+distance)` across the document (§4.4.1).
-    fn near(&self, doc: &Document, value: &str, s: &str) -> f64 {
+    fn near(doc: &Document, value: &str, s: &str) -> f64 {
         let vwords = lower_words(value);
         let swords = lower_words(s);
         if vwords.is_empty() || swords.is_empty() {
@@ -326,128 +888,35 @@ impl<'a> Aggregator<'a> {
         best
     }
 
-    /// Descriptor confidence (§4.4.1(c)): per sentence containing the
-    /// value, decompose into canonical clauses, match each expansion
-    /// against clauses on the stated side of the value (damped by the
-    /// `near` proximity formula), take the best expansion, and sum over
-    /// sentences.
-    fn descriptor(&self, doc: &Document, value: &str, d: &str, right: bool) -> f64 {
-        let Some(exps) = self.expansions.get(d) else {
-            return 0.0;
-        };
-        let vwords = lower_words(value);
-        if vwords.is_empty() {
-            return 0.0;
+    fn matches_at(sentence: &Sentence, pos: usize, words: &[String]) -> bool {
+        if pos + words.len() > sentence.len() {
+            return false;
         }
-        let mut total = 0.0;
-        for sentence in &doc.sentences {
-            let occurrences = token_occurrences(sentence, &vwords);
-            if occurrences.is_empty() {
-                continue;
-            }
-            let clauses = decompose(sentence);
-            let lowers: Vec<&str> = sentence.tokens.iter().map(|t| t.lower.as_str()).collect();
-            // max over expansions of (sum over clauses).
-            let mut sentence_conf: f64 = 0.0;
-            for (di, ki) in exps {
-                let mut sum = 0.0;
-                for clause in &clauses {
-                    // Clause tokens on the correct side of the closest
-                    // occurrence.
-                    let mut best_clause: f64 = 0.0;
-                    for &(vs, ve) in &occurrences {
-                        let side_tokens: Vec<usize> = clause
-                            .tokens
-                            .iter()
-                            .map(|&t| t as usize)
-                            .filter(|&t| {
-                                if right {
-                                    t >= ve as usize
-                                } else {
-                                    t < vs as usize
-                                }
-                            })
-                            .collect();
-                        if side_tokens.is_empty() {
-                            continue;
-                        }
-                        if let Some(first_match) = seq_occurs(&lowers, &side_tokens, di) {
-                            let distance = if right {
-                                (first_match as f64 - ve as f64).max(0.0)
-                            } else {
-                                (vs as f64 - first_match as f64 - 1.0).max(0.0)
-                            };
-                            let prox = 1.0 / (1.0 + distance);
-                            best_clause = best_clause.max(ki * clause.score * prox);
-                        }
-                    }
-                    sum += best_clause;
+        words
+            .iter()
+            .enumerate()
+            .all(|(i, w)| sentence.tokens[pos + i].lower == *w)
+    }
+
+    fn seq_occurs(lowers: &[&str], positions: &[usize], seq: &[String]) -> Option<usize> {
+        if seq.is_empty() {
+            return None;
+        }
+        let mut si = 0usize;
+        let mut first = None;
+        for &p in positions {
+            if lowers[p] == seq[si] {
+                if si == 0 {
+                    first = Some(p);
                 }
-                sentence_conf = sentence_conf.max(sum);
-            }
-            total += sentence_conf;
-        }
-        total
-    }
-}
-
-fn bool_score(b: bool) -> f64 {
-    if b {
-        1.0
-    } else {
-        0.0
-    }
-}
-
-fn lower_words(s: &str) -> Vec<String> {
-    s.split_whitespace().map(|w| w.to_lowercase()).collect()
-}
-
-/// Token-level containment: the token sequence of `needle` appears in the
-/// token sequence of `hay` (the paper's `contains`; "chocolate ice cream"
-/// contains "ice" but not "choc").
-fn token_seq_contains(hay: &str, needle: &str) -> bool {
-    let h: Vec<&str> = hay.split_whitespace().collect();
-    let n: Vec<&str> = needle.split_whitespace().collect();
-    if n.is_empty() || h.len() < n.len() {
-        return false;
-    }
-    (0..=h.len() - n.len()).any(|i| n.iter().enumerate().all(|(j, w)| h[i + j] == *w))
-}
-
-/// Whether `words` matches the sentence tokens starting at `pos`.
-fn matches_at(sentence: &Sentence, pos: usize, words: &[String]) -> bool {
-    if pos + words.len() > sentence.len() {
-        return false;
-    }
-    words
-        .iter()
-        .enumerate()
-        .all(|(i, w)| sentence.tokens[pos + i].lower == *w)
-}
-
-/// Whether the word sequence `seq` occurs within the (sorted) token
-/// positions `positions` of the sentence, in order with gaps allowed
-/// (§4.4.1(c)'s occurrence definition); returns the position of the first
-/// matched word.
-fn seq_occurs(lowers: &[&str], positions: &[usize], seq: &[String]) -> Option<usize> {
-    if seq.is_empty() {
-        return None;
-    }
-    let mut si = 0usize;
-    let mut first = None;
-    for &p in positions {
-        if lowers[p] == seq[si] {
-            if si == 0 {
-                first = Some(p);
-            }
-            si += 1;
-            if si == seq.len() {
-                return first;
+                si += 1;
+                if si == seq.len() {
+                    return first;
+                }
             }
         }
+        None
     }
-    None
 }
 
 #[cfg(test)]
@@ -778,5 +1247,143 @@ mod tests {
         let d = doc("Portland is nice.");
         assert!(agg.excluded(&d, "Portland"));
         assert!(!agg.excluded(&d, "Copper Kettle"));
+    }
+
+    /// Every entity mention of every document, as the engine's
+    /// `x:Entity` variable would bind it.
+    fn entity_values(d: &Document) -> Vec<String> {
+        d.sentences
+            .iter()
+            .flat_map(|s| s.entities.iter().map(|m| s.mention_text(m)))
+            .collect()
+    }
+
+    #[test]
+    fn indexed_kernel_is_bit_identical_to_the_reference() {
+        let pipeline = Pipeline::new();
+        let cafe = koko_corpus::cafe::generate(koko_corpus::cafe::Style::Barista, 40, 11).texts;
+        let sprudge = koko_corpus::cafe::generate(koko_corpus::cafe::Style::Sprudge, 10, 12).texts;
+        let tweets = koko_corpus::tweets::generate(150, 13).texts;
+        let docs: Vec<Document> = cafe
+            .iter()
+            .chain(&sprudge)
+            .chain(&tweets)
+            .enumerate()
+            .map(|(i, t)| pipeline.parse_document(i as u32, t))
+            .collect();
+        let queries = [
+            koko_lang::queries::EXAMPLE_2_3.to_string(),
+            koko_lang::queries::cafe_query(0.5),
+            koko_lang::queries::facility_query(0.5),
+            koko_lang::queries::sports_team_query(0.5),
+        ];
+        let mut compared = 0usize;
+        let mut nonzero = 0usize;
+        for q in &queries {
+            let (cq, embed) = setup(q);
+            for use_descriptors in [true, false] {
+                let opts = AggOpts {
+                    use_descriptors,
+                    ..AggOpts::default()
+                };
+                let agg = Aggregator::new(&cq, embed, opts);
+                for d in &docs {
+                    // One evidence view per document, as the engine uses it.
+                    let ev = agg.evidence(d);
+                    for value in entity_values(d) {
+                        for clause in &cq.norm.satisfying {
+                            let got = agg.score_in(&ev, &value, &clause.conds);
+                            let want = agg.reference_score(d, &value, &clause.conds);
+                            assert_eq!(
+                                got.to_bits(),
+                                want.to_bits(),
+                                "{value:?} in doc {}: {got} vs {want} (descriptors: {use_descriptors})",
+                                d.id
+                            );
+                            compared += 1;
+                            nonzero += usize::from(want > 0.0);
+                        }
+                        assert_eq!(
+                            agg.excluded_in(&ev, &value),
+                            agg.reference_excluded(d, &value),
+                            "{value:?} in doc {}",
+                            d.id
+                        );
+                    }
+                }
+            }
+        }
+        assert!(compared > 4000, "{compared}");
+        assert!(
+            nonzero > 500,
+            "{nonzero}: the corpora must exercise the kernel"
+        );
+    }
+
+    #[test]
+    fn kernel_matches_reference_on_edge_values() {
+        // Values the engine never binds but the public API accepts: empty,
+        // absent from the document, repeated within a sentence, at a
+        // sentence edge, and in mixed case.
+        let q = r#"extract x:Entity from "t" if () satisfying x
+            (x "serves" {0.3}) or ("the" x {0.3}) or (x near "coffee" {0.3}) or
+            (x [["serves coffee"]] {0.5}) or ([["serves coffee"]] x {0.5})
+            with threshold 0.1"#;
+        let (cq, embed) = setup(q);
+        let agg = Aggregator::new(&cq, embed, AggOpts::default());
+        let d = doc(
+            "Kettle serves coffee and Kettle sells espresso. The barista pours coffee at Kettle. Kettle",
+        );
+        let conds = &cq.norm.satisfying[0].conds;
+        for value in [
+            "",
+            "  ",
+            "Kettle",
+            "kettle",
+            "KETTLE",
+            "Nowhere",
+            "coffee",
+            "the barista",
+            "Kettle serves",
+        ] {
+            assert_eq!(
+                agg.score(&d, value, conds).to_bits(),
+                agg.reference_score(&d, value, conds).to_bits(),
+                "{value:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn value_only_clauses_never_build_the_evidence_index() {
+        let d = doc("Copper Kettle Cafe serves coffee in Portland. Anna was born in 1911.");
+        for q in [
+            koko_lang::queries::CHOCOLATE,
+            koko_lang::queries::DATE_OF_BIRTH,
+            koko_lang::queries::EXAMPLE_2_2_Q1,
+            r#"extract x:Entity from "t" if () satisfying x (str(x) contains "Cafe" {1}) with threshold 0.5 excluding (str(x) matches "[a-z]+") or (str(x) in dict("Location")) or (str(x) mentions "@")"#,
+        ] {
+            let (cq, embed) = setup(q);
+            let agg = Aggregator::new(&cq, embed, AggOpts::default());
+            let ev = agg.evidence(&d);
+            for value in entity_values(&d) {
+                for clause in &cq.norm.satisfying {
+                    agg.score_in(&ev, &value, &clause.conds);
+                }
+                agg.excluded_in(&ev, &value);
+            }
+            assert!(!ev.is_built(), "{q}");
+            assert!(
+                !agg.bounds_consult_vocabulary() || q.contains("contains"),
+                "{q}"
+            );
+        }
+        // …and the first document-consulting condition does build it.
+        let (cq, embed) = setup(koko_lang::queries::EXAMPLE_2_3);
+        let agg = Aggregator::new(&cq, embed, AggOpts::default());
+        let ev = agg.evidence(&d);
+        agg.score_in(&ev, "Copper Kettle Cafe", &cq.norm.satisfying[0].conds);
+        assert!(ev.is_built());
+        assert!(agg.bounds_consult_vocabulary());
     }
 }

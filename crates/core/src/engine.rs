@@ -15,7 +15,7 @@
 //! corpus ingested incrementally (any split, compacted or not) answers
 //! byte-identically to a one-shot batch build.
 
-use crate::aggregate::{AggOpts, Aggregator, ShardScoreBound};
+use crate::aggregate::{AggOpts, Aggregator, DocEvidence, ShardScoreBound};
 use crate::binder::{bind_domains, CompiledQuery, SentCtx};
 use crate::cache::{CacheStats, CachedCompile, CachedResult, QueryCaches};
 use crate::error::Error;
@@ -26,8 +26,8 @@ use crate::snapshot::Snapshot;
 use crate::{dpli, gsp};
 use koko_embed::Embeddings;
 use koko_lang::{normalize, parse_query, NVarKind, Query};
-use koko_nlp::{Document, Sid};
-use std::collections::{BTreeMap, BinaryHeap};
+use koko_nlp::Sid;
+use std::collections::BinaryHeap;
 use std::sync::Arc;
 
 /// Engine configuration.
@@ -1051,11 +1051,18 @@ struct DocBatcher<'a> {
     /// Distinct candidate documents seen so far; once the stream drains
     /// this is the shard's candidate-document count.
     docs_seen: usize,
+    /// The drained stream re-ordered by [`DocBatcher::in_result_order`].
+    reordered: Option<std::vec::IntoIter<(u32, Vec<Sid>)>>,
 }
 
 impl DocBatcher<'_> {
     /// The next candidate document (global id), with its sids in `buf`.
     fn next_doc(&mut self, shard: &koko_index::Shard, profile: &mut Profile) -> Option<u32> {
+        if let Some(docs) = &mut self.reordered {
+            let (doc, sids) = docs.next()?;
+            self.buf = sids;
+            return Some(doc);
+        }
         let t = std::time::Instant::now();
         let first = self
             .pending
@@ -1081,6 +1088,19 @@ impl DocBatcher<'_> {
         self.docs_seen += 1;
         Some(doc)
     }
+
+    /// Serve documents in *result order* from here on. Result order is
+    /// the string order of doc ids (the doc id is the canonical tuple
+    /// key's first field), not the stream's numeric order, so this drains
+    /// the stream up front — sids only: no loads, extraction or scoring.
+    fn in_result_order(&mut self, shard: &koko_index::Shard, profile: &mut Profile) {
+        let mut docs: Vec<(u32, Vec<Sid>)> = Vec::new();
+        while let Some(doc) = self.next_doc(shard, profile) {
+            docs.push((doc, std::mem::take(&mut self.buf)));
+        }
+        docs.sort_by_cached_key(|(doc, _)| doc.to_string());
+        self.reordered = Some(docs.into_iter());
+    }
 }
 
 /// Mutable per-shard evaluation state threaded through [`process_doc`]:
@@ -1089,11 +1109,13 @@ impl DocBatcher<'_> {
 /// ranked limit).
 struct ShardEvalState {
     profile: Profile,
-    /// (doc, clause#, lowercased value) → score; `u32::MAX` doc slot for
-    /// doc-independent clauses.
-    scores: std::collections::HashMap<(u32, usize, String), f64>,
-    /// (doc, value) → excluded.
-    excl_cache: std::collections::HashMap<(u32, String), bool>,
+    /// Per satisfying clause: value text → score. A clause whose
+    /// conditions all read the value alone keeps its entries for the whole
+    /// shard; any other clause's entries can only hit inside the document
+    /// that made them and are dropped when the next document starts.
+    scores: Vec<std::collections::HashMap<String, f64>>,
+    /// Value text → excluded, for the current document.
+    excl_cache: std::collections::HashMap<String, bool>,
     rows: Vec<(String, Row)>,
     heap: BinaryHeap<HeapRow>,
     rows_found: usize,
@@ -1117,6 +1139,109 @@ fn doc_cannot_improve(heap: &BinaryHeap<HeapRow>, bound: f64, prefix: &str) -> b
     })
 }
 
+/// Why [`DocGate::verdict`] passed over a candidate document.
+enum Skip {
+    /// The request window is already full (`DocOrder` + limit), or empty.
+    Window,
+    /// The shard-wide score bound.
+    ShardBound,
+    /// The document's block score bound.
+    BlockBound,
+}
+
+/// The one per-document gate every request mode consults before a
+/// candidate document is loaded: build-time score bounds (shard-wide, then
+/// the document's block) against what the request can still use.
+struct DocGate<'a> {
+    agg: &'a Aggregator<'a>,
+    shard: &'a koko_index::Shard,
+    /// The `min_score` floor, as a reason to skip — ranked top-k only: a
+    /// complete scan promises to count every row the floor drops
+    /// (`min_score_pruned`), so it has to find them.
+    score_floor: Option<f64>,
+    /// `DocOrder` + limit: rows after which the shard may stop.
+    need_rows: Option<usize>,
+    /// `ScoreDesc` + limit: capacity of the bounded heap.
+    ranked_cap: Option<usize>,
+    shard_bound: ShardScoreBound,
+    /// Block statistics, when present and when the query's bounds depend
+    /// on a vocabulary at all.
+    blocks: Option<&'a koko_index::BlockBoundStats>,
+    /// Block bounds, computed once per block a candidate document lands
+    /// in and capped by the shard bound (a block vocabulary is a subset
+    /// of its shard's).
+    block_bounds: Vec<Option<ShardScoreBound>>,
+    /// Scratch for the canonical key prefix of the document at hand.
+    prefix: String,
+}
+
+impl<'a> DocGate<'a> {
+    fn new(agg: &'a Aggregator<'a>, shard: &'a koko_index::Shard, exec: &ExecParams) -> Self {
+        let blocks = shard
+            .block_stats()
+            .filter(|_| agg.bounds_consult_vocabulary());
+        DocGate {
+            agg,
+            shard,
+            score_floor: exec.min_score.filter(|_| exec.heap_cap().is_some()),
+            need_rows: exec.need_rows(),
+            ranked_cap: exec.heap_cap(),
+            shard_bound: agg.shard_score_bound(shard.bound_stats()),
+            blocks,
+            block_bounds: vec![None; blocks.map_or(0, |b| b.num_blocks())],
+            prefix: String::new(),
+        }
+    }
+
+    /// A bound below every possible row — an infeasible clause, or a score
+    /// ceiling under the floor — proves its documents contribute nothing.
+    fn row_free(&self, b: &ShardScoreBound) -> bool {
+        !b.feasible || self.score_floor.is_some_and(|floor| b.bound < floor)
+    }
+
+    /// `None` to evaluate the document; otherwise why it is skipped and
+    /// whether skipping it is *exact* (provably no row is lost, so the
+    /// run stays complete) or early termination.
+    fn verdict(&mut self, st: &ShardEvalState, doc_id: u32) -> Option<(Skip, bool)> {
+        use std::fmt::Write as _;
+
+        if self.need_rows.is_some_and(|need| st.rows.len() >= need) {
+            return Some((Skip::Window, false));
+        }
+        if self.row_free(&self.shard_bound) {
+            return Some((Skip::ShardBound, true));
+        }
+        if self.ranked_cap == Some(0) {
+            return Some((Skip::Window, false));
+        }
+        // Heap-floor pruning (WAND-style) applies once the heap is full.
+        let heap_full = self.ranked_cap.is_some_and(|cap| st.heap.len() >= cap);
+        if heap_full {
+            self.prefix.clear();
+            let _ = write!(self.prefix, "RawTuple {{ doc: {doc_id},");
+            if doc_cannot_improve(&st.heap, self.shard_bound.bound, &self.prefix) {
+                return Some((Skip::ShardBound, false));
+            }
+        }
+        // Block-max refinement.
+        let bstats = self.blocks?;
+        let bi = bstats.block_of_doc(self.shard.to_local_doc(doc_id));
+        let (agg, shard_bound) = (self.agg, self.shard_bound.bound);
+        let b = *self.block_bounds[bi].get_or_insert_with(|| {
+            let mut b = agg.block_score_bound(&bstats.block(bi));
+            b.bound = b.bound.min(shard_bound);
+            b
+        });
+        if self.row_free(&b) {
+            return Some((Skip::BlockBound, true));
+        }
+        if heap_full && doc_cannot_improve(&st.heap, b.bound, &self.prefix) {
+            return Some((Skip::BlockBound, false));
+        }
+        None
+    }
+}
+
 /// Load, extract, dedup and aggregate one candidate document (the
 /// historical per-document loop body, identical across all request
 /// modes). Appends surviving rows to `st.rows`, or to the bounded heap
@@ -1131,7 +1256,6 @@ fn process_doc(
     doc_independent: &[bool],
     shard: &koko_index::Shard,
     exec: &ExecParams,
-    ranked_cap: Option<usize>,
     doc_id: u32,
     sids: &[Sid],
     st: &mut ShardEvalState,
@@ -1215,13 +1339,20 @@ fn process_doc(
 
     // ---- Aggregate (satisfying + excluding + min_score) ----------------
     let t = std::time::Instant::now();
+    for (scores, &shard_wide) in st.scores.iter_mut().zip(doc_independent) {
+        if !shard_wide {
+            scores.clear();
+        }
+    }
+    st.excl_cache.clear();
+    let evidence = agg.evidence(&doc);
+    let ranked_cap = exec.heap_cap();
     for (key, tuple) in keyed {
         if let Some(row) = aggregate_tuple(
             agg,
             cq,
-            doc_independent,
             exec.min_score,
-            &doc,
+            &evidence,
             tuple,
             &mut st.scores,
             &mut st.excl_cache,
@@ -1245,25 +1376,30 @@ fn process_doc(
 /// galloping DPLI intersection one document at a time ([`DocBatcher`]) —
 /// the hot path never materializes a shard-wide candidate vector.
 ///
-/// Top-k early termination: when the request carries a `DocOrder` limit,
-/// candidate documents are visited in *result order* (the lexicographic
-/// order of their decimal ids — the grouping the canonical tuple sort
-/// induces, since the doc id is the key's first field), and the scan
-/// stops at the first document boundary after `offset + limit` surviving
-/// rows. The skipped documents are never loaded, extracted, or scored.
-///
-/// Ranked top-k (`ScoreDesc` + limit): the shard keeps a bounded min-heap
-/// of its best `offset + limit` rows and consults two score bounds at
-/// every document boundary, both computed from build-time statistics
-/// before the document is touched: the shard-wide bound
+/// Every candidate document passes one gate ([`DocGate`]) before it is
+/// touched, whatever the request's order or limit. Two score bounds feed
+/// it, both computed from build-time statistics: the shard-wide bound
 /// (`bound_skipped_docs`) and — when the snapshot carries block
-/// statistics — the document's block-max bound
-/// (`block_bound_skipped_docs`), a per-128-doc-block refinement that
-/// keeps pruning inside shards whose union vocabulary looks promising. A
-/// document is skipped only when pruning is provably exact
-/// ([`doc_cannot_improve`]); an infeasible shard or block bound skips its
-/// documents outright without marking `early_stopped`. Returned rows are
-/// byte-identical to the full-scan reference in every mode.
+/// statistics — the document's block bound (`block_bound_skipped_docs`),
+/// a per-32-doc-block refinement that keeps pruning inside shards whose
+/// union vocabulary looks promising.
+///
+/// * **Infeasibility** (every mode, unlimited scans included): a shard or
+///   block whose bound cannot reach a clause threshold provably holds no
+///   row. Its documents are drained count-only: never loaded, extracted,
+///   keyed or scored. This is exact, so it never marks `early_stopped`.
+///   (A ranked top-k treats a bound under the `min_score` floor the same
+///   way.)
+/// * **`DocOrder` + limit**: candidate documents are visited in *result
+///   order* and everything after the first document boundary past
+///   `offset + limit` surviving rows is skipped.
+/// * **`ScoreDesc` + limit**: the shard keeps a bounded min-heap of its
+///   best `offset + limit` rows; once it is full a document is skipped
+///   when its bound provably cannot change the heap
+///   ([`doc_cannot_improve`]).
+///
+/// Returned rows are byte-identical to the ungated full-scan reference in
+/// every mode.
 #[allow(clippy::too_many_arguments)]
 fn eval_shard(
     snapshot: &Snapshot,
@@ -1277,11 +1413,9 @@ fn eval_shard(
     is_delta: bool,
     exec: &ExecParams,
 ) -> Result<ShardPartial, Error> {
-    use std::fmt::Write as _;
-
     let mut st = ShardEvalState {
         profile: Profile::default(),
-        scores: std::collections::HashMap::new(),
+        scores: vec![Default::default(); doc_independent.len()],
         excl_cache: std::collections::HashMap::new(),
         rows: Vec::new(),
         heap: BinaryHeap::new(),
@@ -1290,8 +1424,6 @@ fn eval_shard(
         docs_processed: 0,
         tuples_total: 0,
     };
-    let need_rows = exec.need_rows();
-    let ranked_cap = exec.heap_cap();
 
     // ---- DPLI candidate stream over the shard index --------------------
     let t = std::time::Instant::now();
@@ -1303,160 +1435,45 @@ fn eval_shard(
         pending: None,
         buf: Vec::new(),
         docs_seen: 0,
+        reordered: None,
     };
-
-    // ---- Shard score bound (WAND-style, pre-extraction) ----------------
-    // Derived from the compiled query + build-time shard statistics alone;
-    // computed for ranked top-k pruning and for explain reports.
-    let score_bound =
-        (ranked_cap.is_some() || exec.explain).then(|| agg.shard_score_bound(shard.bound_stats()));
-    // A bound below every possible row (infeasible clause, or under the
-    // `min_score` floor) proves the shard contributes nothing: skip all
-    // its documents outright. Exact — not early termination.
-    let shard_infeasible = ranked_cap.is_some()
-        && score_bound
-            .as_ref()
-            .is_some_and(|b| !b.feasible || exec.min_score.is_some_and(|floor| b.bound < floor));
-
-    let mut early_stopped = false;
-    if let Some(need) = need_rows {
-        // ---- `DocOrder` + limit: result-order scan, early stop ---------
-        // Result order is the *string* order of doc ids, not the stream's
-        // numeric order, so this mode drains the stream up front (sids
-        // only — no loads, extraction, or scoring) and sorts the document
-        // list; the early stop still skips all loading past the limit.
-        let mut by_doc: BTreeMap<u32, Vec<Sid>> = BTreeMap::new();
-        while let Some(doc_id) = batcher.next_doc(shard, &mut st.profile) {
-            by_doc.insert(doc_id, batcher.buf.clone());
-        }
-        let mut doc_order: Vec<u32> = by_doc.keys().copied().collect();
-        doc_order.sort_by_cached_key(|d| d.to_string());
-        for (di, &doc_id) in doc_order.iter().enumerate() {
-            if st.rows.len() >= need {
-                early_stopped = true;
-                st.profile.docs_skipped = doc_order.len() - di;
-                st.profile.candidates_skipped =
-                    doc_order[di..].iter().map(|d| by_doc[d].len()).sum();
-                break;
-            }
-            exec.check_deadline()?;
-            process_doc(
-                snapshot,
-                opts,
-                cq,
-                needed,
-                agg,
-                doc_independent,
-                shard,
-                exec,
-                None,
-                doc_id,
-                &by_doc[&doc_id],
-                &mut st,
-            )?;
-        }
-    } else if let Some(cap) = ranked_cap {
-        if shard_infeasible || cap == 0 {
-            // Nothing in this shard can clear the clause thresholds (or
-            // the score floor), or the request window is empty: drain the
-            // stream count-only. The infeasible-shard zero-row result is
-            // exact, so it leaves `early_stopped` false.
-            while batcher.next_doc(shard, &mut st.profile).is_some() {
-                st.profile.docs_skipped += 1;
-                st.profile.candidates_skipped += batcher.buf.len();
-                if shard_infeasible {
-                    st.profile.bound_skipped_docs += 1;
-                } else {
-                    early_stopped = true;
-                }
-            }
-        } else {
-            let shard_bound = score_bound.as_ref().map_or(1.0, |b| b.bound);
-            let blocks = shard.block_stats();
-            // Block bounds are computed lazily — once per block that a
-            // candidate document lands in — and capped by the shard
-            // bound (a block vocabulary is a subset of its shard's).
-            let mut block_bounds: Vec<Option<ShardScoreBound>> =
-                vec![None; blocks.map_or(0, |b| b.num_blocks())];
-            let mut prefix = String::new();
-            while let Some(doc_id) = batcher.next_doc(shard, &mut st.profile) {
-                prefix.clear();
-                let _ = write!(prefix, "RawTuple {{ doc: {doc_id},");
-                // Shard-wide floor check (WAND-style).
-                if st.heap.len() >= cap && doc_cannot_improve(&st.heap, shard_bound, &prefix) {
-                    early_stopped = true;
-                    st.profile.docs_skipped += 1;
-                    st.profile.bound_skipped_docs += 1;
-                    st.profile.candidates_skipped += batcher.buf.len();
-                    continue;
-                }
-                // Block-max refinement.
-                if let Some(bstats) = blocks {
-                    let bi = bstats.block_of_doc(shard.to_local_doc(doc_id));
-                    let b = block_bounds[bi].get_or_insert_with(|| {
-                        let mut b = agg.block_score_bound(&bstats.block(bi));
-                        b.bound = b.bound.min(shard_bound);
-                        b
-                    });
-                    if !b.feasible || exec.min_score.is_some_and(|floor| b.bound < floor) {
-                        // The block provably contributes no rows at all —
-                        // exact, like an infeasible shard.
-                        st.profile.docs_skipped += 1;
-                        st.profile.block_bound_skipped_docs += 1;
-                        st.profile.candidates_skipped += batcher.buf.len();
-                        continue;
-                    }
-                    if st.heap.len() >= cap && doc_cannot_improve(&st.heap, b.bound, &prefix) {
-                        early_stopped = true;
-                        st.profile.docs_skipped += 1;
-                        st.profile.block_bound_skipped_docs += 1;
-                        st.profile.candidates_skipped += batcher.buf.len();
-                        continue;
-                    }
-                }
-                exec.check_deadline()?;
-                process_doc(
-                    snapshot,
-                    opts,
-                    cq,
-                    needed,
-                    agg,
-                    doc_independent,
-                    shard,
-                    exec,
-                    Some(cap),
-                    doc_id,
-                    &batcher.buf,
-                    &mut st,
-                )?;
-            }
-        }
-    } else {
-        // ---- Unrestricted: stream straight through ---------------------
-        // Ascending numeric doc order — exactly the order the historical
-        // materialized `BTreeMap` grouping produced.
-        while let Some(doc_id) = batcher.next_doc(shard, &mut st.profile) {
-            exec.check_deadline()?;
-            process_doc(
-                snapshot,
-                opts,
-                cq,
-                needed,
-                agg,
-                doc_independent,
-                shard,
-                exec,
-                None,
-                doc_id,
-                &batcher.buf,
-                &mut st,
-            )?;
-        }
+    if exec.need_rows().is_some() {
+        batcher.in_result_order(shard, &mut st.profile);
     }
 
-    // The stream is fully drained on every path above (skips enumerate
-    // documents count-only), so the candidate counters match the
-    // historical materialized values exactly.
+    // ---- Gate, then evaluate, one candidate document at a time ---------
+    // Skipped documents are still pulled from the stream (count-only), so
+    // the candidate counters match a full scan's exactly.
+    let mut gate = DocGate::new(agg, shard, exec);
+    let mut early_stopped = false;
+    while let Some(doc_id) = batcher.next_doc(shard, &mut st.profile) {
+        if let Some((skip, exact)) = gate.verdict(&st, doc_id) {
+            st.profile.docs_skipped += 1;
+            st.profile.candidates_skipped += batcher.buf.len();
+            match skip {
+                Skip::Window => {}
+                Skip::ShardBound => st.profile.bound_skipped_docs += 1,
+                Skip::BlockBound => st.profile.block_bound_skipped_docs += 1,
+            }
+            early_stopped |= !exact;
+            continue;
+        }
+        exec.check_deadline()?;
+        process_doc(
+            snapshot,
+            opts,
+            cq,
+            needed,
+            agg,
+            doc_independent,
+            shard,
+            exec,
+            doc_id,
+            &batcher.buf,
+            &mut st,
+        )?;
+    }
+
     st.profile.candidate_sentences = batcher.cands.streamed();
     if is_delta {
         st.profile.delta_candidates = batcher.cands.streamed();
@@ -1466,7 +1483,7 @@ fn eval_shard(
     // A ranked shard hands back its heap contents (order irrelevant: the
     // merge re-sorts by canonical key, then by score). The floor is only
     // meaningful when the heap actually filled.
-    let heap_floor = ranked_cap.and_then(|cap| {
+    let heap_floor = exec.heap_cap().and_then(|cap| {
         (cap > 0 && st.heap.len() >= cap).then(|| st.heap.peek().map_or(0.0, |w| w.row.score))
     });
     let heap = std::mem::take(&mut st.heap);
@@ -1484,7 +1501,7 @@ fn eval_shard(
         rows: st.rows.len(),
         min_score_pruned: st.profile.min_score_pruned,
         early_stopped,
-        score_bound: score_bound.as_ref().map_or(1.0, |b| b.bound),
+        score_bound: gate.shard_bound.bound,
         heap_floor,
         bound_skipped_docs: st.profile.bound_skipped_docs,
         block_bound_skipped_docs: st.profile.block_bound_skipped_docs,
@@ -1505,29 +1522,35 @@ fn eval_shard(
 /// produces no row. Extracted from the historical post-merge `aggregate`
 /// loop — scoring is tuple-local, so running it per document inside each
 /// shard yields byte-identical rows.
+///
+/// Both caches are keyed by the value's exact text: `contains`,
+/// `mentions` and `matches` are case-sensitive, so two spellings of one
+/// name may score differently and must not share a slot.
 #[allow(clippy::too_many_arguments)]
 fn aggregate_tuple(
     agg: &Aggregator<'_>,
     cq: &CompiledQuery,
-    doc_independent: &[bool],
     min_score: Option<f64>,
-    doc: &Document,
+    evidence: &DocEvidence<'_>,
     t: RawTuple,
-    scores: &mut std::collections::HashMap<(u32, usize, String), f64>,
-    excl_cache: &mut std::collections::HashMap<(u32, String), bool>,
+    scores: &mut [std::collections::HashMap<String, f64>],
+    excl_cache: &mut std::collections::HashMap<String, bool>,
     min_score_pruned: &mut usize,
 ) -> Option<Row> {
     let mut row_score = 1.0f64;
     // Satisfying clauses filter by their variable's value.
-    for (ci, clause) in cq.norm.satisfying.iter().enumerate() {
+    for (clause, scores) in cq.norm.satisfying.iter().zip(scores) {
         let Some(v) = t.values.iter().find(|v| v.var == clause.var) else {
             continue;
         };
-        let cache_doc = if doc_independent[ci] { u32::MAX } else { t.doc };
-        let key = (cache_doc, ci, v.text.to_lowercase());
-        let score = *scores
-            .entry(key)
-            .or_insert_with(|| agg.score(doc, &v.text, &clause.conds));
+        let score = match scores.get(&v.text) {
+            Some(&score) => score,
+            None => {
+                let score = agg.score_in(evidence, &v.text, &clause.conds);
+                scores.insert(v.text.clone(), score);
+                score
+            }
+        };
         if score < agg.threshold(clause.threshold) {
             return None;
         }
@@ -1536,10 +1559,14 @@ fn aggregate_tuple(
     // Excluding conditions drop tuples by any referenced value.
     for v in &t.values {
         if cq.norm.excluding.iter().any(|c| c.var == v.var) {
-            let key = (t.doc, v.text.to_lowercase());
-            let out = *excl_cache
-                .entry(key)
-                .or_insert_with(|| agg.excluded(doc, &v.text));
+            let out = match excl_cache.get(&v.text) {
+                Some(&out) => out,
+                None => {
+                    let out = agg.excluded_in(evidence, &v.text);
+                    excl_cache.insert(v.text.clone(), out);
+                    out
+                }
+            };
             if out {
                 return None;
             }

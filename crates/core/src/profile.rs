@@ -26,25 +26,30 @@ pub struct Profile {
     pub delta_candidates: usize,
     /// Number of result rows before aggregation filtering.
     pub raw_tuples: usize,
-    /// Candidate documents never loaded or extracted because a
+    /// Candidate documents never loaded or extracted: those after a
     /// [`QueryRequest::limit`](crate::QueryRequest::limit) was satisfied
-    /// first (top-k early termination). Zero on unlimited runs.
+    /// (top-k early termination), plus the bound-driven skips counted in
+    /// [`Profile::bound_skipped_docs`] and
+    /// [`Profile::block_bound_skipped_docs`]. An unlimited run can report
+    /// skips too — documents proven row-free — and is complete all the
+    /// same.
     pub docs_skipped: usize,
     /// Candidate sentences inside those skipped documents — extraction
-    /// work the limit avoided entirely.
+    /// work avoided entirely.
     pub candidates_skipped: usize,
-    /// Candidate documents skipped under `ScoreDesc` top-k because their
-    /// shard's score upper bound could not beat the worst score already
-    /// in the bounded heap (WAND-style pruning). Disjoint from
-    /// [`Profile::docs_skipped`]-via-`DocOrder`: both counters accumulate
-    /// into `docs_skipped` totals per shard, but `bound_skipped_docs`
-    /// records only the bound-driven subset.
+    /// Candidate documents skipped on their *shard's* score upper bound.
+    /// In every request mode: the documents of a shard whose bound proves
+    /// it row-free (a satisfying clause cannot reach its threshold
+    /// anywhere in it) — exact, no row is lost. Under `ScoreDesc` top-k
+    /// also: documents whose shard bound could not beat the worst score
+    /// already in the bounded heap (WAND-style pruning), or lies under the
+    /// `min_score` floor. A subset of [`Profile::docs_skipped`].
     pub bound_skipped_docs: usize,
-    /// Candidate documents skipped under `ScoreDesc` top-k by the
-    /// *block-max* refinement: the document's 128-doc block bound (a
-    /// tighter, per-block analogue of the shard bound) proved it either
-    /// row-free or unable to beat the heap floor, while the shard-wide
-    /// bound alone could not. Disjoint from
+    /// Candidate documents skipped by the *block-max* refinement: the
+    /// document's 32-doc block bound (a tighter, per-block analogue of the
+    /// shard bound) proved it row-free — in every request mode — or, under
+    /// `ScoreDesc` top-k, unable to beat the heap floor, while the
+    /// shard-wide bound alone could not. Disjoint from
     /// [`Profile::bound_skipped_docs`]; both are subsets of
     /// [`Profile::docs_skipped`].
     pub block_bound_skipped_docs: usize,
@@ -56,6 +61,7 @@ pub struct Profile {
     /// Rows whose aggregated score fell below
     /// [`QueryRequest::min_score`](crate::QueryRequest::min_score) and were
     /// dropped inside the aggregation stage (never merged or returned).
+    /// Every such row on a run that did not terminate early.
     pub min_score_pruned: usize,
     /// Compiled-query cache hits for this execution (0 or 1 per query;
     /// accumulates under [`Profile::merge`]).

@@ -288,7 +288,7 @@ pub struct ShardExplain {
     /// Distinct candidate documents those sentences live in.
     pub docs: usize,
     /// Documents actually loaded + extracted (< `docs` iff the shard
-    /// terminated early).
+    /// terminated early or a score bound proved some documents row-free).
     pub docs_processed: usize,
     /// Deduplicated raw tuples extracted from the processed documents.
     pub tuples: usize,
@@ -302,7 +302,8 @@ pub struct ShardExplain {
     /// True when the shard stopped before `docs` ran out because the
     /// requested `offset + limit` rows were already found (`DocOrder`),
     /// or because no remaining document could beat the top-k heap floor
-    /// (`ScoreDesc`).
+    /// (`ScoreDesc`). Skipping documents proven row-free is not stopping
+    /// early: it loses no row and leaves this false.
     pub early_stopped: bool,
     /// Upper bound on any row score this shard could produce, derived
     /// from the compiled query plus the shard's bound statistics (`1.0`
@@ -314,13 +315,14 @@ pub struct ShardExplain {
     /// when the heap never filled or the request was not a ranked top-k.
     pub heap_floor: Option<f64>,
     /// Candidate documents skipped because [`ShardExplain::score_bound`]
-    /// (or the shard's infeasibility) proved they could not beat
-    /// [`ShardExplain::heap_floor`]. Subset of the skipped-document
-    /// totals in [`Profile`](crate::Profile).
+    /// proved the shard row-free (any request mode) or unable to beat
+    /// [`ShardExplain::heap_floor`] (ranked top-k). Subset of the
+    /// skipped-document totals in [`Profile`](crate::Profile).
     pub bound_skipped_docs: usize,
     /// Candidate documents skipped by the *block-max* refinement: the
-    /// document's 128-doc block bound proved it row-free or unable to
-    /// beat the heap floor while the shard-wide bound alone could not.
+    /// document's 32-doc block bound proved it row-free (any request
+    /// mode) or unable to beat the heap floor (ranked top-k) while the
+    /// shard-wide bound alone could not.
     /// Disjoint from [`ShardExplain::bound_skipped_docs`]; zero when the
     /// snapshot carries no block statistics (pre-v4 formats or stripped
     /// sections).

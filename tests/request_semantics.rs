@@ -115,7 +115,17 @@ fn default_request_is_byte_identical_to_query() {
                 "{q}"
             );
             assert_eq!(legacy.profile.raw_tuples, req.profile.raw_tuples, "{q}");
-            assert_eq!(legacy.profile.docs_skipped, 0, "{q}");
+            // A complete scan may still skip documents — those a score
+            // bound proves row-free (`docs_skipped` counts them) — but it
+            // never terminates early and is never truncated.
+            assert!(!legacy.truncated, "{q}");
+            let explained = QueryRequest::new(*q).explain(true).run(&koko).unwrap();
+            assert!(!explained.explain.unwrap().early_terminated(), "{q}");
+            assert_eq!(
+                explained.profile.docs_skipped,
+                explained.profile.bound_skipped_docs + explained.profile.block_bound_skipped_docs,
+                "{q}: only bound-proven skips on an unlimited run"
+            );
         }
     }
 }

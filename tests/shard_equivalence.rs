@@ -162,3 +162,29 @@ fn resharding_via_with_opts_preserves_results() {
     assert_eq!(resharded.num_shards(), 5);
     assert_eq!(render(&resharded.query(queries::TITLE).unwrap()), expected);
 }
+
+#[test]
+fn values_differing_only_in_case_are_scored_separately() {
+    // `contains` is case-sensitive, and this clause is document-independent
+    // (one score slot per value per *shard*): a slot keyed by the folded
+    // text would let whichever spelling a shard sees first answer for the
+    // others, so rows would depend on shard count and document order.
+    let q = r#"extract x:Entity from "t" if () satisfying x (str(x) contains "Cafe" {1}) with threshold 0.8"#;
+    let mut texts = vec![
+        "Anna visited Copper Cafe in Portland.",
+        "Anna visited Copper cafe in Portland.",
+        "Anna visited COPPER CAFE in Portland.",
+    ];
+    for reversed in [false, true] {
+        if reversed {
+            texts.reverse();
+        }
+        let corpus = Pipeline::new().parse_corpus(&texts);
+        assert_equivalent(&corpus, &[q], &[1, 3]);
+        let out = Koko::from_corpus_with_opts(corpus, opts(3, true))
+            .query(q)
+            .unwrap();
+        assert_eq!(out.distinct("x"), ["Copper Cafe"], "reversed={reversed}");
+        assert_eq!(out.rows.len(), 1, "reversed={reversed}");
+    }
+}
