@@ -569,7 +569,10 @@ struct EvidenceIndex<'d> {
     /// Canonical clauses per sentence, decomposed on first use.
     clauses: Vec<OnceCell<Vec<Clause>>>,
     /// Per descriptor: the expansions whose every word occurs somewhere in
-    /// the document.
+    /// the document — one postings probe per distinct expansion word, so
+    /// the per-sentence filter scans a handful of expansions instead of all
+    /// of `E(d)` (filtering per sentence alone costs 2.8 instead of 1.1 µs
+    /// per tuple on a pure cafe corpus).
     doc_live: Vec<OnceCell<Vec<u32>>>,
     /// Per (sentence, descriptor), sentence-major: the subset of
     /// `doc_live` whose every word occurs in that sentence.

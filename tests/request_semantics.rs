@@ -19,6 +19,8 @@
 use koko::{queries, EngineOpts, Error, Koko, Order, QueryRequest, Row};
 use proptest::prelude::*;
 
+mod common;
+
 const PAPER_QUERIES: &[&str] = &[
     queries::EXAMPLE_2_1,
     queries::EXAMPLE_2_3,
@@ -533,25 +535,6 @@ proptest! {
     }
 }
 
-/// Write a copy of the v4 snapshot at `src` with every block-statistics
-/// section (`SEC_BLOCKS`) dropped: the file still carries per-shard bound
-/// statistics, but the block-max refinement has nothing to work with —
-/// exactly the shape a pre-block-stats v4 writer would have produced.
-fn strip_block_sections(src: &std::path::Path, dst: &std::path::Path) {
-    use koko::storage::{write_sectioned_file, SectionWriter, SectionedFile, SEC_BLOCKS};
-    let sf = SectionedFile::open_mmap(src).unwrap();
-    let entries = sf.table().entries.clone();
-    let mut w = SectionWriter::new();
-    for e in &entries {
-        if e.kind == SEC_BLOCKS {
-            continue;
-        }
-        let bytes = sf.section_bytes(e).unwrap();
-        w.add_section(e.kind, e.index, bytes.as_slice());
-    }
-    write_sectioned_file(dst, &w.finish()).unwrap();
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
@@ -629,7 +612,10 @@ proptest! {
         let no_blocks = std::env::temp_dir().join(format!(
             "koko_blockmax_nb_{pid}_{n_docs}_{corpus_seed}_{shards}.koko"
         ));
-        strip_block_sections(&v4, &no_blocks);
+        // Without `SEC_BLOCKS` the file still carries per-shard bound
+        // statistics, but the block-max refinement has nothing to work
+        // with — the shape a pre-block-stats v4 writer produced.
+        common::strip_sections(&v4, &no_blocks, &[koko::storage::SEC_BLOCKS]);
         let stripped = Koko::open(&no_blocks).unwrap();
         std::fs::remove_file(&v4).ok();
         std::fs::remove_file(&no_blocks).ok();

@@ -12,6 +12,9 @@
 
 use koko::core::{EngineOpts, Koko, Order, QueryOutput, QueryRequest};
 use koko::queries;
+use koko::storage::{SEC_BLOCKS, SEC_BOUNDS};
+
+mod common;
 
 /// Wiki articles and tweets with the cafe posts clustered at the end, so
 /// whole blocks (and, sharded, whole shards) lack the cafe vocabulary.
@@ -42,25 +45,6 @@ fn render(out: &QueryOutput) -> Vec<String> {
             )
         })
         .collect()
-}
-
-/// A copy of the snapshot at `src` without its bound (`SEC_BOUNDS`) and
-/// block (`SEC_BLOCKS`) statistics — what a writer older than either
-/// section would have produced; shards load with no statistics at all.
-fn strip_statistics(src: &std::path::Path, dst: &std::path::Path) {
-    use koko::storage::{
-        write_sectioned_file, SectionWriter, SectionedFile, SEC_BLOCKS, SEC_BOUNDS,
-    };
-    let sf = SectionedFile::open_mmap(src).unwrap();
-    let entries = sf.table().entries.clone();
-    let mut w = SectionWriter::new();
-    for e in entries
-        .iter()
-        .filter(|e| e.kind != SEC_BOUNDS && e.kind != SEC_BLOCKS)
-    {
-        w.add_section(e.kind, e.index, sf.section_bytes(e).unwrap().as_slice());
-    }
-    write_sectioned_file(dst, &w.finish()).unwrap();
 }
 
 struct Probe {
@@ -173,7 +157,9 @@ fn gated_engines_answer_like_the_statistics_free_snapshot() {
             let full = dir.join(format!("koko_sat_eq_{pid}_{shards}_{label}.koko"));
             let bare = dir.join(format!("koko_sat_eq_{pid}_{shards}_{label}_bare.koko"));
             built.save(&full).unwrap();
-            strip_statistics(&full, &bare);
+            // No `SEC_BOUNDS`, no `SEC_BLOCKS`: shards load with no
+            // statistics at all.
+            common::strip_sections(&full, &bare, &[SEC_BOUNDS, SEC_BLOCKS]);
             let mapped = Koko::open(&full).unwrap();
             let ungated = Koko::open(&bare).unwrap();
             std::fs::remove_file(&full).ok();
