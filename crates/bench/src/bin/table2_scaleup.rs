@@ -204,6 +204,25 @@ impl ScalePoint {
     }
 }
 
+/// Candidates are the sentences that say "coffee"; the clause reads the
+/// article around them, so LoadArticle decodes those articles whole — the
+/// Table 2 row where `decoded` exceeds `candidates`.
+const COFFEE_EVIDENCE: &str = r#"
+extract x:Entity from "input.txt" if (/ROOT:{ c = //"coffee" })
+satisfying x
+(x near "coffee" {1})
+with threshold 0.2
+"#;
+
+/// Wiki articles with `n / 40` cafe posts clustered at the end: the cafe
+/// vocabulary is confined to the last block(s) of the last shard.
+fn clustered_texts(n: usize) -> Vec<String> {
+    let n_cafe = (n / 40).max(2);
+    let mut mixed = koko_corpus::wiki::generate(n - n_cafe, 4242);
+    mixed.extend(koko_corpus::cafe::generate(koko_corpus::cafe::Style::Barista, n_cafe, 99).texts);
+    mixed
+}
+
 fn ratio(a: Duration, b: Duration) -> f64 {
     a.as_secs_f64() / b.as_secs_f64().max(1e-9)
 }
@@ -388,6 +407,7 @@ fn main() {
         "query",
         "articles",
         "candidates",
+        "decoded",
         "Normalize",
         "DPLI",
         "LoadArticle",
@@ -397,13 +417,20 @@ fn main() {
         "total",
         "selectivity",
     ]);
-    for (qname, qtext) in [
-        ("Chocolate (C)", queries::CHOCOLATE),
-        ("Title (T)", queries::TITLE),
-        ("DateOfBirth (D)", queries::DATE_OF_BIRTH),
+    // Per (query, size): what DPLI named against what LoadArticle decoded.
+    let mut load_article: Vec<String> = Vec::new();
+    for (qname, qtext, clustered) in [
+        ("Chocolate (C)", queries::CHOCOLATE, false),
+        ("Title (T)", queries::TITLE, false),
+        ("DateOfBirth (D)", queries::DATE_OF_BIRTH, false),
+        ("CoffeeEvidence (E)", COFFEE_EVIDENCE, true),
     ] {
         for &n in &sizes {
-            let texts = koko_corpus::wiki::generate(n, 4242);
+            let texts = if clustered {
+                clustered_texts(n)
+            } else {
+                koko_corpus::wiki::generate(n, 4242)
+            };
             let koko = Koko::from_corpus_with_opts(pipeline.parse_corpus(&texts), seq_opts);
             let out = koko.query(qtext).expect("scaleup query runs");
             let p = out.profile;
@@ -415,6 +442,7 @@ fn main() {
                 qname.to_string(),
                 n.to_string(),
                 p.candidate_sentences.to_string(),
+                p.sentences_decoded.to_string(),
                 secs(p.normalize),
                 secs(p.dpli),
                 secs(p.load_article),
@@ -424,10 +452,14 @@ fn main() {
                 secs(p.total()),
                 format!("{:.1}%", 100.0 * docs.len() as f64 / n as f64),
             ]);
+            load_article.push(format!(
+                "{{\"query\":\"{qname}\",\"articles\":{n},\"candidate_sentences\":{},\"sentences_decoded\":{}}}",
+                p.candidate_sentences, p.sentences_decoded
+            ));
         }
-        println!("|  |  |  |  |  |  |  |  |  |  |  |");
+        println!("|  |  |  |  |  |  |  |  |  |  |  |  |");
     }
-    println!("(paper: linear scale-up; LoadArticle >50% of time; Normalize + GSP <2%)");
+    println!("(paper: linear scale-up; LoadArticle >50% of time; Normalize + GSP <2%. LoadArticle here decodes the candidate sentences only — decoded = candidates — and whole articles just for E, whose clause reads the document around the value: decoded > candidates)");
 
     // ---- Sequential vs sharded wall-clock (ingest + all three queries) ---
     let cores = koko_par::available_threads();
@@ -533,12 +565,7 @@ fn main() {
         // engine and corpus, and one with BLOCKS and BOUNDS stripped,
         // whose unlimited run evaluates every candidate document — the
         // full-scan baseline of both speedups.
-        let n_cafe = (n / 40).max(2);
-        let mut mixed = koko_corpus::wiki::generate(n - n_cafe, 4242);
-        mixed.extend(
-            koko_corpus::cafe::generate(koko_corpus::cafe::Style::Barista, n_cafe, 99).texts,
-        );
-        let bm = Koko::from_texts_with_opts(&mixed, par_opts);
+        let bm = Koko::from_texts_with_opts(&clustered_texts(n), par_opts);
         let bm_query = queries::EXAMPLE_2_3;
         bm.query(bm_query).expect("warm block-max engine");
         // Best-of-3 unlimited `ScoreDesc` run; returns the time and the
@@ -971,13 +998,14 @@ fn main() {
 
     // ---- JSON perf trajectory -------------------------------------------
     let json = format!(
-        "{{\"bench\":\"table2_scaleup\",\"cores\":{},\"points\":[{}]}}",
+        "{{\"bench\":\"table2_scaleup\",\"cores\":{},\"points\":[{}],\"load_article\":[{}]}}",
         cores,
         points
             .iter()
             .map(ScalePoint::json)
             .collect::<Vec<_>>()
-            .join(",")
+            .join(","),
+        load_article.join(",")
     );
     println!("\n```json\n{json}\n```");
     if let Some(path) = json_path {

@@ -158,6 +158,7 @@ pub fn parse_worker_response(
                     bound_skipped_docs: num(s, "bound_skipped_docs"),
                     block_bound_skipped_docs: num(s, "block_bound_skipped_docs"),
                     probes: num(s, "probes"),
+                    sentences_decoded: num(s, "sentences_decoded"),
                 });
             }
         }
@@ -182,6 +183,7 @@ fn parse_profile(p: &Json) -> Profile {
         compiled_cache_misses: num(p, "compiled_cache_misses"),
         result_cache_hits: num(p, "result_cache_hits"),
         result_cache_misses: num(p, "result_cache_misses"),
+        sentences_decoded: num(p, "sentences_decoded"),
         ..Profile::default()
     }
 }

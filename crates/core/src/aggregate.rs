@@ -10,11 +10,14 @@
 //! Conditions that consult the document (`FollowedBy` / `PrecededBy` /
 //! `Near` / descriptors) read it through a per-document evidence index
 //! (`DocEvidence`): built lazily, at most once per document, and never for
-//! queries whose conditions look at the value alone. It turns "scan every
+//! queries whose conditions look at the value alone — building it is also
+//! what completes a store-backed article beyond the candidate sentences
+//! LoadArticle decoded. It turns "scan every
 //! sentence for the value" into a postings lookup and memoises what every
 //! value of the document would otherwise recompute (sentence decomposition,
 //! which descriptor expansions a sentence can match at all).
 
+use crate::article::Article;
 use crate::binder::CompiledQuery;
 use koko_embed::Embeddings;
 use koko_index::{BlockVocab, ShardBoundStats, TokenVocab};
@@ -164,19 +167,33 @@ impl<'a> Aggregator<'a> {
     }
 
     /// The evidence view of one document, to score many values against.
-    /// Creating it is free: the index behind it is built on the first
-    /// condition that consults the document.
-    pub(crate) fn evidence<'d>(&self, doc: &'d Document) -> DocEvidence<'d> {
+    /// Creating it is free: the index behind it is built — and the article
+    /// decoded whole — on the first condition that consults the document.
+    pub(crate) fn evidence<'d>(&self, article: &'d Article<'d>) -> DocEvidence<'d> {
         DocEvidence {
-            doc,
+            article,
             num_descriptors: self.expansions.len(),
             index: OnceCell::new(),
         }
     }
 
+    /// Whether every document that yields a tuple gets its evidence index
+    /// built: each tuple is scored against the first satisfying clause, all
+    /// of whose conditions run. LoadArticle then decodes such documents
+    /// whole straight away instead of walking to the candidate sentences
+    /// first. (Later clauses and excluding conditions run only for tuples
+    /// that got that far, so they complete the article lazily.)
+    pub(crate) fn always_consults_document(&self) -> bool {
+        self.cq
+            .norm
+            .satisfying
+            .first()
+            .is_some_and(|clause| clause.conds.iter().any(|wc| consults_document(&wc.cond)))
+    }
+
     /// `score(e)` for a candidate value across one document (§4.4.1).
     pub fn score(&self, doc: &Document, value: &str, conds: &[koko_lang::WeightedCond]) -> f64 {
-        self.score_in(&self.evidence(doc), value, conds)
+        self.score_in(&self.evidence(&Article::Corpus(doc)), value, conds)
     }
 
     /// [`Aggregator::score`] against a document's shared evidence view.
@@ -196,7 +213,7 @@ impl<'a> Aggregator<'a> {
     /// Whether an excluding condition holds for the value (boolean reading;
     /// scored conditions count when they reach 0.5).
     pub fn excluded(&self, doc: &Document, value: &str) -> bool {
-        self.excluded_in(&self.evidence(doc), value)
+        self.excluded_in(&self.evidence(&Article::Corpus(doc)), value)
     }
 
     /// [`Aggregator::excluded`] against a document's shared evidence view.
@@ -211,7 +228,8 @@ impl<'a> Aggregator<'a> {
 
     /// `mᵢ(e)`: the per-condition confidence, capped at 1.
     pub fn confidence(&self, doc: &Document, value: &str, cond: &Cond) -> f64 {
-        self.confidence_in(&self.evidence(doc), &Probe::new(value), cond)
+        let article = Article::Corpus(doc);
+        self.confidence_in(&self.evidence(&article), &Probe::new(value), cond)
     }
 
     fn confidence_in(&self, ev: &DocEvidence<'_>, probe: &Probe<'_>, cond: &Cond) -> f64 {
@@ -456,7 +474,7 @@ impl<'a> Aggregator<'a> {
             if live.is_empty() {
                 continue;
             }
-            let clauses = ix.clauses(ev.doc, sentence);
+            let clauses = ix.clauses(sentence);
             let lowers = ix.sentence(sentence);
             // Clause tokens on the stated side of each occurrence: clause
             // tokens are in surface order, so that is a suffix (right) or
@@ -534,7 +552,7 @@ impl<'v> Probe<'v> {
 /// One document as the document-consulting conditions see it. The index is
 /// built on first use, so clauses over the value alone never pay for it.
 pub(crate) struct DocEvidence<'d> {
-    doc: &'d Document,
+    article: &'d Article<'d>,
     num_descriptors: usize,
     index: OnceCell<EvidenceIndex<'d>>,
 }
@@ -542,7 +560,7 @@ pub(crate) struct DocEvidence<'d> {
 impl<'d> DocEvidence<'d> {
     fn index(&self) -> &EvidenceIndex<'d> {
         self.index
-            .get_or_init(|| EvidenceIndex::build(self.doc, self.num_descriptors))
+            .get_or_init(|| EvidenceIndex::build(self.article.whole(), self.num_descriptors))
     }
 
     /// Whether any condition consulted the document so far.
@@ -556,6 +574,7 @@ const NO_NEXT: u32 = u32::MAX;
 
 /// Token → position postings over one document, plus per-sentence memos.
 struct EvidenceIndex<'d> {
+    doc: &'d Document,
     /// Every token's lower-cased form, sentence after sentence.
     lowers: Vec<&'d str>,
     /// Sentence `s` covers `lowers[starts[s]..starts[s + 1]]`.
@@ -605,6 +624,7 @@ impl<'d> EvidenceIndex<'d> {
             (0..n).map(|_| OnceCell::new()).collect()
         }
         EvidenceIndex {
+            doc,
             lowers,
             starts,
             sentence_of,
@@ -644,8 +664,8 @@ impl<'d> EvidenceIndex<'d> {
         out
     }
 
-    fn clauses(&self, doc: &Document, s: u32) -> &[Clause] {
-        self.clauses[s as usize].get_or_init(|| decompose(&doc.sentences[s as usize]))
+    fn clauses(&self, s: u32) -> &[Clause] {
+        self.clauses[s as usize].get_or_init(|| decompose(&self.doc.sentences[s as usize]))
     }
 
     /// The expansions of descriptor `di` that sentence `s` could match.
@@ -672,6 +692,19 @@ impl<'d> EvidenceIndex<'d> {
                 .collect()
         })
     }
+}
+
+/// Whether a condition reads the document around the value, as opposed to
+/// the value's own text.
+pub(crate) fn consults_document(cond: &Cond) -> bool {
+    matches!(
+        cond.pred,
+        Pred::FollowedBy(_)
+            | Pred::PrecededBy(_)
+            | Pred::Near(_)
+            | Pred::DescRight(_)
+            | Pred::DescLeft(_)
+    )
 }
 
 fn bool_score(b: bool) -> f64 {
@@ -925,6 +958,7 @@ mod reference {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::article::Article;
     use crate::binder::CompiledQuery;
     use koko_lang::{normalize, parse_query};
     use koko_nlp::Pipeline;
@@ -1292,7 +1326,8 @@ mod tests {
                 let agg = Aggregator::new(&cq, embed, opts);
                 for d in &docs {
                     // One evidence view per document, as the engine uses it.
-                    let ev = agg.evidence(d);
+                    let article = Article::Corpus(d);
+                    let ev = agg.evidence(&article);
                     for value in entity_values(d) {
                         for clause in &cq.norm.satisfying {
                             let got = agg.score_in(&ev, &value, &clause.conds);
@@ -1368,7 +1403,8 @@ mod tests {
         ] {
             let (cq, embed) = setup(q);
             let agg = Aggregator::new(&cq, embed, AggOpts::default());
-            let ev = agg.evidence(&d);
+            let article = Article::Corpus(&d);
+            let ev = agg.evidence(&article);
             for value in entity_values(&d) {
                 for clause in &cq.norm.satisfying {
                     agg.score_in(&ev, &value, &clause.conds);
@@ -1376,6 +1412,7 @@ mod tests {
                 agg.excluded_in(&ev, &value);
             }
             assert!(!ev.is_built(), "{q}");
+            assert!(!agg.always_consults_document(), "{q}");
             assert!(
                 !agg.bounds_consult_vocabulary() || q.contains("contains"),
                 "{q}"
@@ -1384,9 +1421,11 @@ mod tests {
         // …and the first document-consulting condition does build it.
         let (cq, embed) = setup(koko_lang::queries::EXAMPLE_2_3);
         let agg = Aggregator::new(&cq, embed, AggOpts::default());
-        let ev = agg.evidence(&d);
+        let article = Article::Corpus(&d);
+        let ev = agg.evidence(&article);
         agg.score_in(&ev, "Copper Kettle Cafe", &cq.norm.satisfying[0].conds);
         assert!(ev.is_built());
         assert!(agg.bounds_consult_vocabulary());
+        assert!(agg.always_consults_document());
     }
 }

@@ -15,7 +15,8 @@
 //! corpus ingested incrementally (any split, compacted or not) answers
 //! byte-identically to a one-shot batch build.
 
-use crate::aggregate::{AggOpts, Aggregator, DocEvidence, ShardScoreBound};
+use crate::aggregate::{consults_document, AggOpts, Aggregator, DocEvidence, ShardScoreBound};
+use crate::article::Article;
 use crate::binder::{bind_domains, CompiledQuery, SentCtx};
 use crate::cache::{CacheStats, CachedCompile, CachedResult, QueryCaches};
 use crate::error::Error;
@@ -29,6 +30,7 @@ use koko_lang::{normalize, parse_query, NVarKind, Query};
 use koko_nlp::Sid;
 use std::collections::BinaryHeap;
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 /// Engine configuration.
 #[derive(Debug, Clone, Copy)]
@@ -37,8 +39,9 @@ pub struct EngineOpts {
     /// naive nested-loop evaluator (`KOKO&NOGSP`, Table 1).
     pub use_gsp: bool,
     /// Load candidate articles from the document store (paying the real
-    /// `LoadArticle` decode cost of Table 2) instead of borrowing the
-    /// in-memory corpus.
+    /// `LoadArticle` decode cost of Table 2, for the candidate sentences
+    /// and for whatever else of the article a clause asks to see) instead
+    /// of borrowing the in-memory corpus.
     pub store_backed: bool,
     /// Expand descriptors with paraphrase embeddings (Figure 5 ablation).
     pub use_descriptors: bool,
@@ -932,18 +935,7 @@ fn execute_request(
         .norm
         .satisfying
         .iter()
-        .map(|clause| {
-            clause.conds.iter().all(|wc| {
-                matches!(
-                    wc.cond.pred,
-                    koko_lang::Pred::Contains(_)
-                        | koko_lang::Pred::Mentions(_)
-                        | koko_lang::Pred::Matches(_)
-                        | koko_lang::Pred::SimilarTo(_)
-                        | koko_lang::Pred::InDict(_)
-                )
-            })
-        })
+        .map(|clause| !clause.conds.iter().any(|wc| consults_document(&wc.cond)))
         .collect();
     profile.satisfying += t.elapsed();
 
@@ -997,6 +989,8 @@ fn execute_request(
         }
     }
     exec.check_deadline()?;
+    // The tail of the row-key work `process_doc` charges to `extract`.
+    let t = Instant::now();
     keyed.sort_by(|a, b| a.0.cmp(&b.0));
     let mut rows: Vec<Row> = keyed.into_iter().map(|(_, row)| row).collect();
     if exec.order == Order::ScoreDesc {
@@ -1004,6 +998,7 @@ fn execute_request(
         // effective key is (score desc, doc, row).
         sort_rows_score_desc(&mut rows);
     }
+    profile.extract += t.elapsed();
 
     // ---- Window ---------------------------------------------------------
     // `total_matches` counts every row that survived aggregation in the
@@ -1040,8 +1035,9 @@ fn execute_request(
 /// *document* at a time. Candidates arrive in ascending sid order and the
 /// sids of one document are contiguous, so each [`DocBatcher::next_doc`]
 /// call collects exactly one document's global sids into `buf` — no
-/// shard-wide candidate vector ever materializes. Time spent pulling the
-/// stream (the galloping intersection) is charged to the DPLI timer.
+/// shard-wide candidate vector ever materializes. The caller charges the
+/// time spent pulling the stream (the galloping intersection) to the DPLI
+/// timer.
 struct DocBatcher<'a> {
     cands: dpli::CandidateStream<'a>,
     /// First sid of the next document, already pulled from the stream.
@@ -1057,21 +1053,16 @@ struct DocBatcher<'a> {
 
 impl DocBatcher<'_> {
     /// The next candidate document (global id), with its sids in `buf`.
-    fn next_doc(&mut self, shard: &koko_index::Shard, profile: &mut Profile) -> Option<u32> {
+    fn next_doc(&mut self, shard: &koko_index::Shard) -> Option<u32> {
         if let Some(docs) = &mut self.reordered {
             let (doc, sids) = docs.next()?;
             self.buf = sids;
             return Some(doc);
         }
-        let t = std::time::Instant::now();
         let first = self
             .pending
             .take()
-            .or_else(|| self.cands.next_sid().map(|s| shard.to_global_sid(s)));
-        let Some(first) = first else {
-            profile.dpli += t.elapsed();
-            return None;
-        };
+            .or_else(|| self.cands.next_sid().map(|s| shard.to_global_sid(s)))?;
         let doc = shard.doc_of_sid(first);
         self.buf.clear();
         self.buf.push(first);
@@ -1084,7 +1075,6 @@ impl DocBatcher<'_> {
                 break;
             }
         }
-        profile.dpli += t.elapsed();
         self.docs_seen += 1;
         Some(doc)
     }
@@ -1093,13 +1083,26 @@ impl DocBatcher<'_> {
     /// the string order of doc ids (the doc id is the canonical tuple
     /// key's first field), not the stream's numeric order, so this drains
     /// the stream up front — sids only: no loads, extraction or scoring.
-    fn in_result_order(&mut self, shard: &koko_index::Shard, profile: &mut Profile) {
+    fn in_result_order(&mut self, shard: &koko_index::Shard) {
         let mut docs: Vec<(u32, Vec<Sid>)> = Vec::new();
-        while let Some(doc) = self.next_doc(shard, profile) {
+        while let Some(doc) = self.next_doc(shard) {
             docs.push((doc, std::mem::take(&mut self.buf)));
         }
         docs.sort_by_cached_key(|(doc, _)| doc.to_string());
         self.reordered = Some(docs.into_iter());
+    }
+}
+
+/// Charges a shard's wall time to the stage timers without gaps: every
+/// [`StageClock::lap`] adds the time since the previous one to the stage
+/// that just ran, so the timers of a shard sum to the time it took.
+struct StageClock(Instant);
+
+impl StageClock {
+    fn lap(&mut self, stage: &mut Duration) {
+        let now = Instant::now();
+        *stage += now - self.0;
+        self.0 = now;
     }
 }
 
@@ -1109,6 +1112,10 @@ impl DocBatcher<'_> {
 /// ranked limit).
 struct ShardEvalState {
     profile: Profile,
+    clock: StageClock,
+    /// The canonical keys of the document at hand, end to end; reused from
+    /// one document to the next.
+    keys: String,
     /// Per satisfying clause: value text → score. A clause whose
     /// conditions all read the value alone keeps its entries for the whole
     /// shard; any other clause's entries can only hit inside the document
@@ -1246,12 +1253,18 @@ impl<'a> DocGate<'a> {
 /// historical per-document loop body, identical across all request
 /// modes). Appends surviving rows to `st.rows`, or to the bounded heap
 /// when `ranked_cap` is set.
+///
+/// LoadArticle is sentence-granular: of a stored article only the
+/// candidate sentences in `sids` are decoded, unless the query's clauses
+/// read the rest of it (see [`Article`]). Dropping what was decoded is
+/// charged to `load_article` too, and building each sentence's context and
+/// the row keys to `extract`.
 #[allow(clippy::too_many_arguments)]
 fn process_doc(
     snapshot: &Snapshot,
     opts: &EngineOpts,
     cq: &CompiledQuery,
-    needed: &[(usize, String)],
+    needed: &[NeededVar],
     agg: &Aggregator<'_>,
     doc_independent: &[bool],
     shard: &koko_index::Shard,
@@ -1260,92 +1273,92 @@ fn process_doc(
     sids: &[Sid],
     st: &mut ShardEvalState,
 ) -> Result<(), Error> {
+    let storage = |e: koko_storage::DecodeError| Error::Storage(format!("document {doc_id}: {e}"));
+
     // ---- LoadArticle from the shard store ------------------------------
-    let t = std::time::Instant::now();
-    let doc = if opts.store_backed {
-        shard
-            .load_document(doc_id)
-            .map_err(|e| Error::Storage(e.to_string()))?
+    let mut article = if opts.store_backed {
+        let view = shard.article(doc_id).map_err(storage)?;
+        Article::stored(view, agg.always_consults_document()).map_err(storage)?
     } else {
         // Corpus-borrowing mode materializes the whole corpus on a
         // mapped snapshot — store-backed (the default) does not.
-        snapshot
-            .try_corpus()
-            .map_err(Error::Snapshot)?
-            .document(doc_id)
-            .clone()
+        let corpus = snapshot.try_corpus().map_err(Error::Snapshot)?;
+        Article::Corpus(corpus.document(doc_id))
     };
-    st.profile.load_article += t.elapsed();
 
     // ---- GSP + extract -------------------------------------------------
-    let mut tuples: Vec<RawTuple> = Vec::new();
+    let mut tuples: Vec<RawTuple<'_>> = Vec::new();
     let first_sid = shard.doc_first_sid(doc_id);
     for &sid in sids {
-        let local = (sid - first_sid) as usize;
-        let sentence = &doc.sentences[local];
-        let ctx = SentCtx::new(sentence);
+        // A blob that holds fewer sentences than the index names is a
+        // structured error here, never an out-of-bounds index.
+        let sentence = article.sentence(sid - first_sid).map_err(storage)?;
+        // Decoding this sentence, and dropping the one before it.
+        st.clock.lap(&mut st.profile.load_article);
+        {
+            let ctx = SentCtx::new(&sentence);
+            let domains = bind_domains(cq, &ctx);
+            st.clock.lap(&mut st.profile.extract);
 
-        let te = std::time::Instant::now();
-        let domains = bind_domains(cq, &ctx);
-        st.profile.extract += te.elapsed();
+            let plans = gsp::plan(cq, &domains, ctx.len());
+            st.clock.lap(&mut st.profile.gsp);
+            if exec.explain && st.plans_rendered.is_empty() && !plans.is_empty() {
+                st.plans_rendered = render_plans(cq, &plans);
+            }
 
-        let tg = std::time::Instant::now();
-        let plans = gsp::plan(cq, &domains, ctx.len());
-        st.profile.gsp += tg.elapsed();
-        if exec.explain && st.plans_rendered.is_empty() && !plans.is_empty() {
-            st.plans_rendered = render_plans(cq, &plans);
-        }
-
-        let te = std::time::Instant::now();
-        let assignments = gsp::evaluate(cq, &ctx, &domains, &plans, opts.use_gsp);
-        for a in assignments {
-            let mut values = Vec::with_capacity(needed.len());
-            let mut complete = true;
-            for &(vi, ref name) in needed {
-                match a[vi] {
-                    Some(span) => values.push(TupleValue {
-                        var: name.clone(),
-                        sid,
-                        span,
-                        text: span_text(sentence, span),
-                    }),
-                    None => {
-                        complete = false;
-                        break;
-                    }
+            for a in gsp::evaluate(cq, &ctx, &domains, &plans, opts.use_gsp) {
+                let values: Option<Vec<TupleValue<'_>>> = needed
+                    .iter()
+                    .map(|var| {
+                        a[var.index].map(|span| TupleValue {
+                            var: &var.name,
+                            sid,
+                            span,
+                            text: span_text(&sentence, span),
+                        })
+                    })
+                    .collect();
+                if let Some(values) = values {
+                    tuples.push(RawTuple {
+                        doc: doc_id,
+                        values,
+                    });
                 }
             }
-            if complete {
-                tuples.push(RawTuple {
-                    doc: doc_id,
-                    values,
-                });
-            }
         }
-        st.profile.extract += te.elapsed();
+        st.clock.lap(&mut st.profile.extract);
     }
 
     // ---- Canonical per-document sort + dedup ---------------------------
     // Bag semantics with per-sentence duplicates removed. Keys are
     // the historical evaluator's comparator (the tuple's `Debug`
-    // rendering), computed once per tuple; duplicates are always
-    // intra-document, so per-doc dedup equals the old global dedup.
-    let mut keyed: Vec<(String, RawTuple)> =
-        tuples.into_iter().map(|t| (format!("{t:?}"), t)).collect();
-    keyed.sort_by(|a, b| a.0.cmp(&b.0));
-    keyed.dedup_by(|a, b| a.0 == b.0);
+    // rendering), rendered once per tuple into one buffer; duplicates are
+    // always intra-document, so per-doc dedup equals the old global dedup.
+    // Only a tuple that becomes a row gets a key `String` of its own.
+    st.keys.clear();
+    let mut keyed: Vec<(std::ops::Range<usize>, RawTuple<'_>)> = tuples
+        .into_iter()
+        .map(|t| {
+            let start = st.keys.len();
+            write_key(&mut st.keys, needed, &t);
+            (start..st.keys.len(), t)
+        })
+        .collect();
+    let keys = st.keys.as_str();
+    keyed.sort_by(|a, b| keys[a.0.clone()].cmp(&keys[b.0.clone()]));
+    keyed.dedup_by(|a, b| keys[a.0.clone()] == keys[b.0.clone()]);
     st.profile.raw_tuples += keyed.len();
     st.tuples_total += keyed.len();
+    st.clock.lap(&mut st.profile.extract);
 
     // ---- Aggregate (satisfying + excluding + min_score) ----------------
-    let t = std::time::Instant::now();
     for (scores, &shard_wide) in st.scores.iter_mut().zip(doc_independent) {
         if !shard_wide {
             scores.clear();
         }
     }
     st.excl_cache.clear();
-    let evidence = agg.evidence(&doc);
+    let evidence = agg.evidence(&article);
     let ranked_cap = exec.heap_cap();
     for (key, tuple) in keyed {
         if let Some(row) = aggregate_tuple(
@@ -1359,13 +1372,23 @@ fn process_doc(
             &mut st.profile.min_score_pruned,
         ) {
             st.rows_found += 1;
+            let key = keys[key].to_owned();
             match ranked_cap {
                 Some(cap) => push_bounded(&mut st.heap, cap, key, row),
                 None => st.rows.push((key, row)),
             }
         }
     }
-    st.profile.satisfying += t.elapsed();
+    drop(evidence);
+    st.clock.lap(&mut st.profile.satisfying);
+
+    // ---- LoadArticle, the rest: drop the article; a completion the
+    // satisfying stage asked for is decode time all the same ------------
+    let loaded = article.finish().map_err(storage)?;
+    st.clock.lap(&mut st.profile.load_article);
+    st.profile.load_article += loaded.completion;
+    st.profile.satisfying = st.profile.satisfying.saturating_sub(loaded.completion);
+    st.profile.sentences_decoded += loaded.sentences_decoded;
     st.docs_processed += 1;
     Ok(())
 }
@@ -1405,7 +1428,7 @@ fn eval_shard(
     snapshot: &Snapshot,
     opts: &EngineOpts,
     cq: &CompiledQuery,
-    needed: &[(usize, String)],
+    needed: &[NeededVar],
     agg: &Aggregator<'_>,
     doc_independent: &[bool],
     shard: &koko_index::Shard,
@@ -1415,6 +1438,8 @@ fn eval_shard(
 ) -> Result<ShardPartial, Error> {
     let mut st = ShardEvalState {
         profile: Profile::default(),
+        clock: StageClock(Instant::now()),
+        keys: String::new(),
         scores: vec![Default::default(); doc_independent.len()],
         excl_cache: std::collections::HashMap::new(),
         rows: Vec::new(),
@@ -1426,9 +1451,8 @@ fn eval_shard(
     };
 
     // ---- DPLI candidate stream over the shard index --------------------
-    let t = std::time::Instant::now();
     let cands = dpli::stream(cq, shard.index());
-    st.profile.dpli += t.elapsed();
+    st.clock.lap(&mut st.profile.dpli);
     exec.check_deadline()?;
     let mut batcher = DocBatcher {
         cands,
@@ -1438,16 +1462,24 @@ fn eval_shard(
         reordered: None,
     };
     if exec.need_rows().is_some() {
-        batcher.in_result_order(shard, &mut st.profile);
+        batcher.in_result_order(shard);
+        st.clock.lap(&mut st.profile.dpli);
     }
 
     // ---- Gate, then evaluate, one candidate document at a time ---------
     // Skipped documents are still pulled from the stream (count-only), so
-    // the candidate counters match a full scan's exactly.
+    // the candidate counters match a full scan's exactly. The gate is the
+    // satisfying clauses' bounds at work, and is timed as that stage.
     let mut gate = DocGate::new(agg, shard, exec);
+    st.clock.lap(&mut st.profile.satisfying);
     let mut early_stopped = false;
-    while let Some(doc_id) = batcher.next_doc(shard, &mut st.profile) {
-        if let Some((skip, exact)) = gate.verdict(&st, doc_id) {
+    loop {
+        let next = batcher.next_doc(shard);
+        st.clock.lap(&mut st.profile.dpli);
+        let Some(doc_id) = next else { break };
+        let verdict = gate.verdict(&st, doc_id);
+        st.clock.lap(&mut st.profile.satisfying);
+        if let Some((skip, exact)) = verdict {
             st.profile.docs_skipped += 1;
             st.profile.candidates_skipped += batcher.buf.len();
             match skip {
@@ -1506,6 +1538,7 @@ fn eval_shard(
         bound_skipped_docs: st.profile.bound_skipped_docs,
         block_bound_skipped_docs: st.profile.block_bound_skipped_docs,
         probes: st.profile.gallop_probes,
+        sentences_decoded: st.profile.sentences_decoded,
     };
     Ok(ShardPartial {
         rows: st.rows,
@@ -1532,7 +1565,7 @@ fn aggregate_tuple(
     cq: &CompiledQuery,
     min_score: Option<f64>,
     evidence: &DocEvidence<'_>,
-    t: RawTuple,
+    t: RawTuple<'_>,
     scores: &mut [std::collections::HashMap<String, f64>],
     excl_cache: &mut std::collections::HashMap<String, bool>,
     min_score_pruned: &mut usize,
@@ -1629,9 +1662,19 @@ fn render_plans(cq: &CompiledQuery, plans: &[gsp::SkipPlan]) -> Vec<String> {
         .collect()
 }
 
+/// A variable whose values must survive into tuples.
+struct NeededVar {
+    /// Position in `cq.norm.vars`.
+    index: usize,
+    name: String,
+    /// What every canonical key renders before this variable's sentence
+    /// id: `TupleValue { var: "<name>", sid: `, the name escaped once.
+    key_prefix: String,
+}
+
 /// Variables whose values must survive into tuples: outputs plus every
 /// satisfying / excluding variable.
-fn needed_vars(cq: &CompiledQuery) -> Vec<(usize, String)> {
+fn needed_vars(cq: &CompiledQuery) -> Vec<NeededVar> {
     let mut names: Vec<String> = cq.norm.outputs.iter().map(|o| o.name.clone()).collect();
     for s in &cq.norm.satisfying {
         names.push(s.var.clone());
@@ -1643,22 +1686,73 @@ fn needed_vars(cq: &CompiledQuery) -> Vec<(usize, String)> {
     names.dedup();
     names
         .into_iter()
-        .filter_map(|n| cq.norm.var(&n).map(|i| (i, n)))
+        .filter_map(|name| {
+            cq.norm.var(&name).map(|index| NeededVar {
+                index,
+                key_prefix: format!("TupleValue {{ var: {name:?}, sid: "),
+                name,
+            })
+        })
         .collect()
 }
 
 #[derive(Debug, Clone, PartialEq, PartialOrd)]
-struct TupleValue {
-    var: String,
+struct TupleValue<'q> {
+    var: &'q str,
     sid: Sid,
     span: (u32, u32),
     text: String,
 }
 
+/// One extracted tuple: a value for every [`NeededVar`], in that order.
 #[derive(Debug, Clone, PartialEq)]
-struct RawTuple {
+struct RawTuple<'q> {
     doc: u32,
-    values: Vec<TupleValue>,
+    values: Vec<TupleValue<'q>>,
+}
+
+/// Append the canonical key of `t` — byte for byte `format!("{t:?}")` —
+/// to `out`. Result order, dedup and the ranked tie-break are all defined
+/// by this rendering, and a `dob` scan spent a fifth of its time producing
+/// it through `fmt::Debug`; here only the value text still goes through
+/// `{:?}`, so its escaping is the standard library's by construction.
+/// Typed `Ord` keys and numeric document order are ROADMAP item 4a; until
+/// then this string is the one key type.
+fn write_key(out: &mut String, needed: &[NeededVar], t: &RawTuple<'_>) {
+    use std::fmt::Write as _;
+
+    out.push_str("RawTuple { doc: ");
+    push_decimal(out, t.doc);
+    out.push_str(", values: [");
+    for (i, (var, v)) in needed.iter().zip(&t.values).enumerate() {
+        if i > 0 {
+            out.push_str(", ");
+        }
+        out.push_str(&var.key_prefix);
+        push_decimal(out, v.sid);
+        out.push_str(", span: (");
+        push_decimal(out, v.span.0);
+        out.push_str(", ");
+        push_decimal(out, v.span.1);
+        out.push_str("), text: ");
+        let _ = write!(out, "{:?}", v.text);
+        out.push_str(" }");
+    }
+    out.push_str("] }");
+}
+
+fn push_decimal(out: &mut String, mut n: u32) {
+    let mut digits = [0u8; 10];
+    let mut at = digits.len();
+    loop {
+        at -= 1;
+        digits[at] = b'0' + (n % 10) as u8;
+        n /= 10;
+        if n == 0 {
+            break;
+        }
+    }
+    out.push_str(std::str::from_utf8(&digits[at..]).expect("ASCII digits"));
 }
 
 fn span_text(sentence: &koko_nlp::Sentence, span: (u32, u32)) -> String {
@@ -1739,6 +1833,70 @@ mod tests {
         let mut kept: Vec<String> = heap.into_iter().map(|h| h.key).collect();
         kept.sort();
         assert_eq!(kept, vec!["b", "c"]);
+    }
+
+    #[test]
+    fn key_writer_is_byte_identical_to_the_debug_rendering() {
+        let needed: Vec<NeededVar> = ["e", "né\"e\\"]
+            .into_iter()
+            .map(|name| NeededVar {
+                index: 0,
+                key_prefix: format!("TupleValue {{ var: {name:?}, sid: "),
+                name: name.to_string(),
+            })
+            .collect();
+        let mut texts = koko_corpus::wiki::generate(30, 5);
+        texts.extend(koko_corpus::cafe::generate(koko_corpus::cafe::Style::Sprudge, 20, 6).texts);
+        texts.extend(koko_corpus::tweets::generate(60, 7).texts);
+        // What the generators may not produce: every escape class of
+        // `<str as Debug>`.
+        texts.push("“Zoë’s” café — naïve. It's 5\u{a0}o'clock \\ \"now\".".to_string());
+        let corpus = koko_nlp::Pipeline::new().parse_corpus(&texts);
+        let mut values: Vec<String> = corpus
+            .sentences()
+            .flat_map(|(_, s)| {
+                let last = s.len().saturating_sub(1) as u32;
+                [s.text(), s.span_text(0, 0), s.span_text(last, last)]
+            })
+            .collect();
+        values
+            .extend(["", "\n\t\r\0", "\u{7f}\u{200b}\u{301}e\u{fffd}", "'\"\\"].map(String::from));
+        assert!(values.iter().any(|v| !v.is_ascii()));
+        assert!(values.iter().any(|v| v.contains('"')));
+
+        let mut key = String::new();
+        let mut check = |t: &RawTuple<'_>| {
+            key.clear();
+            write_key(&mut key, &needed, t);
+            assert_eq!(key, format!("{t:?}"));
+        };
+        check(&RawTuple {
+            doc: 0,
+            values: Vec::new(),
+        });
+        for (i, text) in values.iter().enumerate() {
+            let i = i as u32;
+            // Empty spans, and every width of integer.
+            let (doc, sid, span) = match i % 3 {
+                0 => (i, i * 7, (i % 11, i % 11)),
+                1 => (u32::MAX - i, 1_000_000 + i, (0, i)),
+                _ => (10u32.pow(i % 10), 9, (99, 100)),
+            };
+            let value = |var: &'static str, text: &str| TupleValue {
+                var,
+                sid,
+                span,
+                text: text.to_string(),
+            };
+            check(&RawTuple {
+                doc,
+                values: vec![value("e", text)],
+            });
+            check(&RawTuple {
+                doc,
+                values: vec![value("e", text), value("né\"e\\", "")],
+            });
+        }
     }
 
     #[test]

@@ -41,8 +41,10 @@
 //!    constraints, synthesized `∧` variables (once, on the calling thread);
 //! 2. **DPLI** ([`dpli`]) — dominant-path decomposition and multi-index
 //!    lookups producing candidate sentences (per shard, in parallel);
-//! 3. **LoadArticle** — candidate articles decoded from the shard's
-//!    document store (per shard, in parallel);
+//! 3. **LoadArticle** — the candidate *sentences* of each candidate
+//!    article decoded from the shard's document store; the rest of an
+//!    article only when a clause asks for evidence across the document
+//!    (per shard, in parallel);
 //! 4. **GSP / extract** ([`gsp`], [`binder`]) — skip plans, nested-loop
 //!    binding, alignment of skipped variables, constraint validation (per
 //!    shard, in parallel);
@@ -82,6 +84,7 @@
 //! ```
 
 pub mod aggregate;
+mod article;
 pub mod binder;
 pub mod cache;
 pub mod dpli;

@@ -10,16 +10,28 @@ pub struct Profile {
     pub normalize: Duration,
     /// Dominant-path index lookups producing candidate sentences (§4.2).
     pub dpli: Duration,
-    /// Decoding candidate articles from the document store.
+    /// Decoding candidate sentences — and, where a clause reads the rest
+    /// of the document, whole articles — from the document store, and
+    /// dropping them again.
     pub load_article: Duration,
     /// Generating skip plans (§4.3).
     pub gsp: Duration,
-    /// Binding domains + extracting tuples from candidate sentences.
+    /// Binding domains + extracting tuples from candidate sentences, and
+    /// rendering, sorting and deduplicating the canonical row keys.
     pub extract: Duration,
-    /// Scoring satisfying/excluding clauses and aggregating evidence.
+    /// Scoring satisfying/excluding clauses and aggregating evidence;
+    /// includes deriving the score bounds documents are skipped on.
     pub satisfying: Duration,
     /// Number of candidate sentences DPLI produced.
     pub candidate_sentences: usize,
+    /// Sentences LoadArticle decoded from the document store. Equal to the
+    /// candidate sentences of the documents actually processed when no
+    /// clause reads beyond them; an article decoded whole (a
+    /// `followed by` / `preceded by` / `near` / descriptor condition
+    /// consulted the document) counts all of its sentences. Zero when
+    /// articles are borrowed from the in-memory corpus
+    /// (`store_backed: false`) and on a result-cache hit.
+    pub sentences_decoded: usize,
     /// The subset of [`Profile::candidate_sentences`] that came from
     /// *delta* shards — documents ingested live since the last
     /// compaction. Zero on a fully compacted (or never-updated) index.
@@ -124,6 +136,7 @@ impl Profile {
         self.extract += other.extract;
         self.satisfying += other.satisfying;
         self.candidate_sentences += other.candidate_sentences;
+        self.sentences_decoded += other.sentences_decoded;
         self.delta_candidates += other.delta_candidates;
         self.raw_tuples += other.raw_tuples;
         self.docs_skipped += other.docs_skipped;
@@ -178,6 +191,7 @@ mod tests {
             extract: Duration::from_millis(5),
             satisfying: Duration::from_millis(6),
             candidate_sentences: 10,
+            sentences_decoded: 8,
             delta_candidates: 4,
             raw_tuples: 20,
             docs_skipped: 1,
@@ -201,6 +215,7 @@ mod tests {
             extract: Duration::from_millis(50),
             satisfying: Duration::from_millis(60),
             candidate_sentences: 100,
+            sentences_decoded: 80,
             delta_candidates: 7,
             raw_tuples: 200,
             docs_skipped: 10,
@@ -220,6 +235,7 @@ mod tests {
         assert_eq!(a.normalize, Duration::from_millis(11));
         assert_eq!(a.satisfying, Duration::from_millis(66));
         assert_eq!(a.candidate_sentences, 110);
+        assert_eq!(a.sentences_decoded, 88);
         assert_eq!(a.delta_candidates, 11);
         assert_eq!(a.raw_tuples, 220);
         assert_eq!(a.docs_skipped, 11);

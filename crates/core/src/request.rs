@@ -331,4 +331,7 @@ pub struct ShardExplain {
     /// intersecting this shard's posting cursors (exponential probe +
     /// binary search positions inspected).
     pub probes: usize,
+    /// Sentences LoadArticle decoded for this shard (see
+    /// [`Profile::sentences_decoded`](crate::Profile::sentences_decoded)).
+    pub sentences_decoded: usize,
 }

@@ -22,7 +22,9 @@
 
 use crate::koko::KokoIndex;
 use koko_nlp::{Corpus, Document, Sid};
-use koko_storage::{codec::fnv1a64, Codec, DecodeError, DocStore, SharedBytes, U64View};
+use koko_storage::{
+    codec::fnv1a64, ArticleView, Codec, DecodeError, DocStore, SharedBytes, U64View,
+};
 use std::ops::Range;
 
 /// Cheap per-shard statistics for bounding aggregation scores *before*
@@ -643,10 +645,18 @@ impl Shard {
         global - self.docs.start
     }
 
-    /// Decode one article by *global* document id (the per-shard
-    /// `LoadArticle` path).
+    /// Decode one whole article by *global* document id (corpus rebuilds
+    /// and compaction; queries go through [`Shard::article`]).
     pub fn load_document(&self, global_doc: u32) -> Result<Document, DecodeError> {
         self.store.load(self.to_local_doc(global_doc))
+    }
+
+    /// One article by *global* document id as a borrowed view — the
+    /// per-shard `LoadArticle` path: the executor decodes the candidate
+    /// sentences through it, and the rest of the article only if a clause
+    /// asks for document evidence.
+    pub fn article(&self, global_doc: u32) -> Result<ArticleView<'_>, DecodeError> {
+        self.store.view(self.to_local_doc(global_doc))
     }
 
     /// The *global* document owning *global* sentence `sid` — the

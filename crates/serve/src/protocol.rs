@@ -429,7 +429,7 @@ pub fn rows_json(rows: &[Row]) -> String {
 /// candidate/tuple and cache counters.
 pub fn profile_json(p: &Profile) -> String {
     let mut out = format!(
-        "{{\"normalize_us\":{},\"dpli_us\":{},\"load_article_us\":{},\"gsp_us\":{},\"extract_us\":{},\"satisfying_us\":{},\"candidates\":{},\"delta_candidates\":{},\"raw_tuples\":{},\"compiled_cache_hits\":{},\"compiled_cache_misses\":{},\"result_cache_hits\":{},\"result_cache_misses\":{}",
+        "{{\"normalize_us\":{},\"dpli_us\":{},\"load_article_us\":{},\"gsp_us\":{},\"extract_us\":{},\"satisfying_us\":{},\"candidates\":{},\"delta_candidates\":{},\"raw_tuples\":{},\"compiled_cache_hits\":{},\"compiled_cache_misses\":{},\"result_cache_hits\":{},\"result_cache_misses\":{},\"sentences_decoded\":{}",
         p.normalize.as_micros(),
         p.dpli.as_micros(),
         p.load_article.as_micros(),
@@ -443,6 +443,7 @@ pub fn profile_json(p: &Profile) -> String {
         p.compiled_cache_misses,
         p.result_cache_hits,
         p.result_cache_misses,
+        p.sentences_decoded,
     );
     // Present only on coordinator-answered queries: single-node profile
     // lines keep the exact legacy byte shape.
@@ -525,8 +526,8 @@ pub fn explain_json(e: &Explain) -> String {
             None => out.push_str("null"),
         }
         out.push_str(&format!(
-            ",\"bound_skipped_docs\":{},\"block_bound_skipped_docs\":{},\"probes\":{}}}",
-            s.bound_skipped_docs, s.block_bound_skipped_docs, s.probes
+            ",\"bound_skipped_docs\":{},\"block_bound_skipped_docs\":{},\"probes\":{},\"sentences_decoded\":{}}}",
+            s.bound_skipped_docs, s.block_bound_skipped_docs, s.probes, s.sentences_decoded
         ));
     }
     out.push(']');
@@ -822,6 +823,7 @@ mod tests {
                     bound_skipped_docs: 1,
                     block_bound_skipped_docs: 2,
                     probes: 9,
+                    sentences_decoded: 4,
                     ..koko_core::ShardExplain::default()
                 }],
                 remote_shards: vec![],
@@ -843,7 +845,7 @@ mod tests {
         assert!(extended.contains("\"explain\":{\"plans\":["), "{extended}");
         assert!(
             extended.contains(
-                "\"early_stopped\":true,\"score_bound\":1.3,\"heap_floor\":0.5,\"bound_skipped_docs\":1,\"block_bound_skipped_docs\":2,\"probes\":9"
+                "\"early_stopped\":true,\"score_bound\":1.3,\"heap_floor\":0.5,\"bound_skipped_docs\":1,\"block_bound_skipped_docs\":2,\"probes\":9,\"sentences_decoded\":4}"
             ),
             "{extended}"
         );

@@ -55,7 +55,7 @@ pub trait Codec: Sized {
     }
 }
 
-fn take<'a>(input: &mut &'a [u8], n: usize) -> Result<&'a [u8], DecodeError> {
+pub(crate) fn take<'a>(input: &mut &'a [u8], n: usize) -> Result<&'a [u8], DecodeError> {
     if input.len() < n {
         return err("unexpected end of input");
     }

@@ -1,15 +1,21 @@
 //! The parsed-article store.
 //!
-//! Articles live *encoded*; [`DocStore::load`] pays a real decode cost, which
+//! Articles live *encoded*; reading one back pays a real decode cost, which
 //! is what the paper's `LoadArticle` stage (Table 2 — more than 50% of query
 //! time) measures when KOKO pulls candidate articles out of PostgreSQL.
+//! There are two ways in: [`DocStore::view`] hands out a borrowed
+//! [`ArticleView`] that decodes only the sentences asked for — the query
+//! path, whose cost follows the candidate sentences DPLI named — and
+//! [`DocStore::load`] decodes the whole [`Document`] (corpus rebuilds,
+//! compaction, and queries whose clauses read the rest of the article).
 //!
 //! Each blob is either owned (built in memory, or decoded from a v1–3
 //! payload) or a [`SharedBytes`] view into a memory-mapped v4 snapshot
 //! section — in the mapped case an article's bytes stay in the page cache
-//! until [`DocStore::load`] touches that one document. Both backings
-//! encode byte-identically, so snapshots never re-encode articles.
+//! until a view or a load touches that one document. Both backings encode
+//! byte-identically, so snapshots never re-encode articles.
 
+use crate::article::ArticleView;
 use crate::codec::{self, Codec, DecodeError};
 use crate::view::{SharedBytes, ViewCursor};
 use bytes::BytesMut;
@@ -79,14 +85,22 @@ impl DocStore {
         (self.blobs.len() - 1) as u32
     }
 
-    /// Decode document `idx`. This is the `LoadArticle` cost — and, for a
-    /// mapped store, the point where the document's pages fault in.
+    /// Decode the whole of document `idx`.
     pub fn load(&self, idx: u32) -> Result<Document, DecodeError> {
+        self.view(idx)?.document()
+    }
+
+    /// Document `idx` as a borrowed [`ArticleView`]: only its 8-byte header
+    /// is read here. Decoding sentences through the view is the
+    /// `LoadArticle` cost — and, for a mapped store, the point where the
+    /// document's pages fault in.
+    pub fn view(&self, idx: u32) -> Result<ArticleView<'_>, DecodeError> {
         let blob = self
             .blobs
             .get(idx as usize)
             .ok_or_else(|| DecodeError(format!("no document {idx}")))?;
-        Document::from_bytes(blob.as_slice())
+        ArticleView::new(blob.as_slice())
+            .map_err(|e| DecodeError(format!("document {idx}: {}", e.0)))
     }
 
     /// The raw encoded bytes of document `idx`, without decoding.
@@ -101,18 +115,7 @@ impl DocStore {
     /// sharded engine uses this to rebuild per-document sentence offsets
     /// from a mapped store in O(docs) instead of decoding every article.
     pub fn sentence_count(&self, idx: u32) -> Result<u32, DecodeError> {
-        let blob = self
-            .blobs
-            .get(idx as usize)
-            .ok_or_else(|| DecodeError(format!("no document {idx}")))?;
-        let b = blob.as_slice();
-        if b.len() < 8 {
-            return Err(DecodeError(format!(
-                "document blob {idx} too short ({} bytes) for a header",
-                b.len()
-            )));
-        }
-        Ok(u32::from_le_bytes(b[4..8].try_into().expect("sized")))
+        Ok(self.view(idx)?.num_sentences())
     }
 
     /// Append every blob of `other`, preserving order. Lets the sharded

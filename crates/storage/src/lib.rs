@@ -15,6 +15,8 @@
 //! * [`closure`] — the Closure Table representation of hierarchy indices
 //!   (Karwin \[25\]);
 //! * [`docstore`] — the parsed-article store with per-document lazy decode;
+//! * [`article`] — a borrowed view of one stored article that decodes the
+//!   sentences asked for and steps over the rest;
 //! * [`db`] — a named collection of the above with directory persistence;
 //! * [`snapshot_file`] / [`section`] — the `.koko` container: payload
 //!   framing (v1–3) and the offset-indexed sectioned layout (v4);
@@ -22,6 +24,7 @@
 //!   borrowed-view decoding, so sectioned snapshots open in O(sections)
 //!   and serve fixed-width arrays straight from the page cache.
 
+pub mod article;
 pub mod closure;
 pub mod codec;
 pub mod db;
@@ -32,6 +35,7 @@ pub mod snapshot_file;
 pub mod table;
 pub mod view;
 
+pub use article::{ArticleView, SentenceCursor};
 pub use closure::{ClosureRow, ClosureTable};
 pub use codec::{Codec, DecodeError};
 pub use db::Db;

@@ -322,7 +322,7 @@ fn print_request_summary(out: &koko::QueryOutput) {
         }
         for s in &explain.shards {
             println!(
-                "shard {:>2} ({}): lookups {} | candidates {} | probes {} | docs {}/{} | tuples {} | rows {} | min_score pruned {} | early stop {} | bound {} | floor {} | bound skipped {} | block skipped {}",
+                "shard {:>2} ({}): lookups {} | candidates {} | probes {} | docs {}/{} | tuples {} | rows {} | min_score pruned {} | early stop {} | bound {} | floor {} | bound skipped {} | block skipped {} | sentences decoded {}",
                 s.shard,
                 if s.is_delta { "delta" } else { "base" },
                 s.lookups,
@@ -339,6 +339,7 @@ fn print_request_summary(out: &koko::QueryOutput) {
                     .map_or_else(|| "-".to_string(), |f| f.to_string()),
                 s.bound_skipped_docs,
                 s.block_bound_skipped_docs,
+                s.sentences_decoded,
             );
         }
     }
@@ -575,9 +576,10 @@ fn cmd_query(args: &[String]) -> i32 {
                 print_request_summary(&out);
             }
             eprintln!(
-                "{} rows | {} candidate sentences | total {:?} (normalize {:?}, dpli {:?}, load {:?}, gsp {:?}, extract {:?}, satisfying {:?})",
+                "{} rows | {} candidate sentences | {} sentences decoded | total {:?} (normalize {:?}, dpli {:?}, load {:?}, gsp {:?}, extract {:?}, satisfying {:?})",
                 out.rows.len(),
                 out.profile.candidate_sentences,
+                out.profile.sentences_decoded,
                 out.profile.total(),
                 out.profile.normalize,
                 out.profile.dpli,

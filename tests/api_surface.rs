@@ -74,6 +74,14 @@ const _SNAP_TRY_SHARDS: fn(
     &Snapshot,
 ) -> Result<&[std::sync::Arc<index::Shard>], storage::SnapshotFileError> = Snapshot::try_shards;
 
+// Whole-article decode: corpus rebuilds, compaction, `koko_bench`'s storage
+// probe. Queries read articles through `Shard::article` (see
+// `article_view_surface_is_stable`).
+const _SHARD_LOAD_DOCUMENT: fn(&index::Shard, u32) -> Result<Document, storage::DecodeError> =
+    index::Shard::load_document;
+const _SNAP_LOAD_DOCUMENT: fn(&Snapshot, u32) -> Result<Document, storage::DecodeError> =
+    Snapshot::load_document;
+
 // QueryRequest builder: every method, chained the way user code writes it.
 const _REQ_RUN: fn(&QueryRequest, &Koko) -> Result<QueryOutput, Error> = QueryRequest::run;
 const _REQ_TEXT: fn(&QueryRequest) -> &str = QueryRequest::text;
@@ -153,6 +161,30 @@ fn query_output_carries_the_documented_fields() {
     // Block-max refinement + streamed-intersection counters.
     let _block_skipped: usize = s.block_bound_skipped_docs;
     let _probes: usize = s.probes;
+    // Sentence-granular LoadArticle.
+    let _decoded: usize = s.sentences_decoded;
+}
+
+#[test]
+fn article_view_surface_is_stable() {
+    use storage::{ArticleView, DecodeError, SentenceCursor};
+    // Sentence-granular LoadArticle: a shard hands out a borrowed view of
+    // one stored article; a forward cursor decodes the sentences asked for
+    // and steps over the rest; the whole article stays one call away.
+    let koko = Koko::from_texts(&["Anna ate cake. The cafe was busy."]);
+    let snapshot = koko.snapshot();
+    let shard: &index::Shard = &snapshot.shards()[0];
+    let view: ArticleView<'_> = shard.article(0).unwrap();
+    let _: ArticleView<'_> = shard.store().view(0).unwrap();
+    let blob: &[u8] = shard.store().blob_bytes(0).unwrap();
+    let _: Result<ArticleView<'_>, DecodeError> = ArticleView::new(blob);
+    let _: (u32, u32) = (view.id(), view.num_sentences());
+    let _: Result<Sentence, DecodeError> = view.sentence(1);
+    let _: Result<Document, DecodeError> = view.document();
+    let mut cursor: SentenceCursor<'_> = view.cursor();
+    let _: Result<Sentence, DecodeError> = cursor.decode(0);
+    let _: u32 = cursor.position();
+    let _: Result<(), DecodeError> = cursor.finish();
 }
 
 #[test]
@@ -229,6 +261,7 @@ fn profile_exposes_the_pruning_counters() {
     );
     let _ = (
         p.candidate_sentences,
+        p.sentences_decoded,
         p.delta_candidates,
         p.raw_tuples,
         p.compiled_cache_hits,
