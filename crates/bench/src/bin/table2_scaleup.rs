@@ -649,7 +649,7 @@ fn main() {
         let file_bytes = par.save(&snap_path).expect("snapshot save");
         let save = t.elapsed();
         // Cold start, eager vs mmap: the eager open decodes every shard
-        // up front (the pre-v4 behavior); the mmap open validates the
+        // up front (`eager_load`); the mmap open validates the
         // header + section table in O(sections) and defers shard decode
         // to the first query. Both run against a process-warm page
         // cache, so the delta is decode work, not disk.

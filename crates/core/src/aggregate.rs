@@ -264,7 +264,7 @@ impl<'a> Aggregator<'a> {
     /// reported bound is the *last* clause's (row scores report the last
     /// satisfying clause, `1.0` when there are no clauses).
     ///
-    /// With `stats == None` (pre-v3 snapshot) every `bᵢ` falls back to
+    /// With `stats == None` (no `BOUNDS` section) every `bᵢ` falls back to
     /// the cap `1.0`, giving the conservative weights-only bound — still
     /// sound, it just prunes less.
     pub fn shard_score_bound(&self, stats: Option<&ShardBoundStats>) -> ShardScoreBound {

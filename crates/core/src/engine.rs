@@ -331,11 +331,12 @@ impl Koko {
     /// the file (`opts.num_shards` does not trigger a rebuild); `parallel`
     /// gates both the load fan-out and later query execution.
     ///
-    /// By default v4 snapshots are memory-mapped ([`Snapshot::open_mmap`]):
+    /// By default snapshots are memory-mapped ([`Snapshot::open_mmap`]):
     /// the open validates the header + section table and returns in
-    /// O(sections), shards decode out of the mapping on first query
-    /// touch, and payload-framed (v1–3) files fall back to the eager
-    /// load. `opts.eager_load` forces full up-front materialization.
+    /// O(sections), and shards decode out of the mapping on first query
+    /// touch. `opts.eager_load` forces full up-front materialization
+    /// ([`Snapshot::load`]). Either way a file of any format version but
+    /// the current one is refused with `SnapshotFileError::WrongVersion`.
     pub fn open_with_opts(path: &std::path::Path, opts: EngineOpts) -> Result<Koko, Error> {
         let snap = if opts.eager_load {
             Snapshot::load(path, opts.parallel)?

@@ -11,10 +11,11 @@
 //!
 //! # File layout
 //!
-//! The container framing is owned by [`koko_storage::snapshot_file`]
-//! (v1–3 payload frame) and [`koko_storage::section`] (v4 section table);
-//! this module owns the contents. Saves write **version 4**: a section
-//! table locating independently-checksummed, 8-aligned sections —
+//! The container — header, section table, checksums, atomic publish — is
+//! owned by [`koko_storage::snapshot_file`] and [`koko_storage::section`];
+//! this module owns the contents. There is one format, version 4: a
+//! section table locating independently-checksummed, 8-aligned
+//! sections —
 //!
 //! ```text
 //! EMBED    Embeddings codec frame
@@ -34,15 +35,12 @@
 //! Cold-start cost stops scaling with corpus size, and a corpus larger
 //! than RAM serves queries under the page cache's eviction policy.
 //!
-//! Older payload-framed files still load through the same entry points:
-//! version-1 files (no manifest) predate live updates, so every shard is
-//! base and the generation is 1; files without the stats section leave
-//! every shard's statistics `None`, and ranked top-k queries fall back to
-//! the conservative weights-only bound — same answers, less pruning. The
-//! per-shard frames inside v4 sections are byte-identical to the frames
-//! embedded in v1–3 payloads, so no migration re-encodes anything.
+//! `BOUNDS` and `BLOCKS` are optional: a file without them leaves those
+//! shards' statistics `None`, and ranked top-k queries fall back to the
+//! coarser bound — same answers, less pruning. Any other format version
+//! is refused at open with [`SnapshotFileError::WrongVersion`].
 //!
-//! Saving back to the file a v4 snapshot was opened from **appends**:
+//! Saving back to the file a snapshot was opened from **appends**:
 //! unchanged shards' sections are carried forward by table reference,
 //! new/regrown deltas plus a fresh manifest, router, and table are
 //! written past the committed extent, and an in-place header rewrite
@@ -55,20 +53,13 @@ use crate::error::Error;
 use crate::snapshot::{PersistedShardRef, ShardSlot, Snapshot, SnapshotBacking};
 use koko_embed::Embeddings;
 use koko_index::{BlockBoundStats, Shard, ShardBoundStats, ShardRouter};
-use koko_nlp::{Corpus, Document};
-use koko_storage::docstore::Blob;
 use koko_storage::{
-    append_sections, read_snapshot_file_versioned, read_snapshot_version, write_sectioned_file,
-    Codec, DecodeError, SectionEntry, SectionWriter, SectionedFile, SnapshotFileError,
-    SECTIONED_VERSION, SEC_BLOCKS, SEC_BOUNDS, SEC_EMBED, SEC_MANIFEST, SEC_ROUTER, SEC_SHARD,
-    SEC_STORE,
+    append_sections, write_sectioned_file, Codec, DecodeError, SectionEntry, SectionWriter,
+    SectionedFile, SnapshotFileError, SEC_BLOCKS, SEC_BOUNDS, SEC_EMBED, SEC_MANIFEST, SEC_ROUTER,
+    SEC_SHARD, SEC_STORE,
 };
 use std::path::Path;
 use std::sync::Arc;
-
-fn corrupt(path: &Path, e: DecodeError) -> Error {
-    Error::Snapshot(corrupt_label(&path.display().to_string(), e))
-}
 
 fn corrupt_label(path: &str, e: DecodeError) -> SnapshotFileError {
     SnapshotFileError::Corrupt {
@@ -88,8 +79,7 @@ struct ShardSections {
 }
 
 /// Decode one shard out of its mapped sections, verifying it against the
-/// router's expectations — the sectioned replacement for the old
-/// whole-payload contiguity check, run per shard on first touch.
+/// router's expectations — run per shard on first touch.
 fn decode_shard_sections(
     sf: &SectionedFile,
     slot: usize,
@@ -128,11 +118,11 @@ fn decode_shard_sections(
     Ok(shard)
 }
 
-/// Everything `open_mmap`/eager-v4 share: map the file, validate the
-/// table, decode the small always-needed sections (embeddings, manifest,
-/// router), and resolve every shard's section entries — without reading
-/// any shard payload.
-struct OpenedV4 {
+/// Everything `open_mmap` and the eager `load` share: map the file,
+/// validate the header and table, decode the small always-needed
+/// sections (embeddings, manifest, router), and resolve every shard's
+/// section entries — without reading any shard payload.
+struct Opened {
     sf: SectionedFile,
     embed: Embeddings,
     generation: u64,
@@ -141,7 +131,7 @@ struct OpenedV4 {
     shard_secs: Vec<ShardSections>,
 }
 
-fn open_v4(path: &Path) -> Result<OpenedV4, Error> {
+fn open_sections(path: &Path) -> Result<Opened, Error> {
     let sf = SectionedFile::open_mmap(path).map_err(Error::Snapshot)?;
     let embed_bytes = sf
         .section_bytes(&sf.require(SEC_EMBED, 0).map_err(Error::Snapshot)?)
@@ -189,7 +179,7 @@ fn open_v4(path: &Path) -> Result<OpenedV4, Error> {
             blocks: sf.find(SEC_BLOCKS, i as u32),
         });
     }
-    Ok(OpenedV4 {
+    Ok(Opened {
         sf,
         embed,
         generation,
@@ -199,7 +189,7 @@ fn open_v4(path: &Path) -> Result<OpenedV4, Error> {
     })
 }
 
-fn backing_of(path: &Path, o: &OpenedV4) -> SnapshotBacking {
+fn backing_of(path: &Path, o: &Opened) -> SnapshotBacking {
     SnapshotBacking {
         path: path.to_path_buf(),
         header: o.sf.header(),
@@ -225,7 +215,7 @@ impl Snapshot {
     /// the file size in bytes. Shards encode on worker threads when
     /// `parallel` is set.
     ///
-    /// If this snapshot was opened from (or last saved to) a v4 file at
+    /// If this snapshot was opened from (or last saved to) the file at
     /// this same `path`, the save *appends*: sections of unchanged shards
     /// are carried forward by reference and only new deltas, the
     /// manifest, the router and a fresh table are written — I/O
@@ -259,7 +249,7 @@ impl Snapshot {
         m
     }
 
-    /// Full v4 rewrite: every section re-encoded, image published
+    /// Full rewrite: every section re-encoded, image published
     /// atomically (temp file + rename + dir fsync).
     fn full_save(&self, path: &Path, parallel: bool) -> Result<u64, Error> {
         let threads = if parallel { 0 } else { 1 };
@@ -412,10 +402,12 @@ impl Snapshot {
     }
 
     /// Load a snapshot written by [`Snapshot::save`], fully materialized:
-    /// every shard decoded (on worker threads when `parallel` is set) and
-    /// the corpus re-assembled before returning. Corrupt, truncated, or
-    /// wrong-version files produce a structured [`Error::Snapshot`]
-    /// naming the file — never a panic.
+    /// the same validation as [`Snapshot::open_mmap`], then every shard
+    /// decoded (on worker threads when `parallel` is set) and the corpus
+    /// re-assembled before returning — the write-path open, where later
+    /// operations must not discover corruption behind infallible
+    /// signatures. Corrupt, truncated, or wrong-version files produce a
+    /// structured [`Error::Snapshot`] naming the file — never a panic.
     ///
     /// For O(1)-cost opens that defer shard decoding to first touch, use
     /// [`Snapshot::open_mmap`] — answers are byte-identical either way.
@@ -432,66 +424,7 @@ impl Snapshot {
     /// # std::fs::remove_file(&path).ok();
     /// ```
     pub fn load(path: &Path, parallel: bool) -> Result<Snapshot, Error> {
-        match read_snapshot_version(path).map_err(Error::Snapshot)? {
-            SECTIONED_VERSION => Snapshot::load_v4_eager(path, parallel),
-            _ => Snapshot::load_payload(path, parallel),
-        }
-    }
-
-    /// Open the v4 snapshot at `path` by memory-mapping it: validates the
-    /// header, section table, manifest and router in O(sections) without
-    /// reading any shard payload, then returns a snapshot whose shards
-    /// decode out of the mapping the first time a query touches them.
-    /// Each section is checksum-verified on that first touch, so
-    /// corruption surfaces as a structured error from the query that
-    /// found it — never silently and never as a crash.
-    ///
-    /// Cold-open cost is independent of corpus size, and a corpus larger
-    /// than RAM is served under the page cache's eviction policy. The
-    /// mapping holds the file's pages; KOKO's own writers never truncate
-    /// a published snapshot (full saves replace the file by rename,
-    /// appends only extend it), but an *external* truncation of the
-    /// mapped file can fault a reader fatally — the classic mmap
-    /// contract.
-    ///
-    /// Payload-framed files (v1–3) have no section table to map and fall
-    /// back to the eager [`Snapshot::load`] transparently.
-    pub fn open_mmap(path: &Path) -> Result<Snapshot, Error> {
-        match read_snapshot_version(path).map_err(Error::Snapshot)? {
-            SECTIONED_VERSION => {
-                let o = open_v4(path)?;
-                let backing = backing_of(path, &o);
-                let slots = o
-                    .shard_secs
-                    .iter()
-                    .enumerate()
-                    .map(|(i, secs)| {
-                        let sf = o.sf.clone();
-                        let router = o.router.clone();
-                        let secs = *secs;
-                        ShardSlot::lazy(move || decode_shard_sections(&sf, i, secs, &router))
-                    })
-                    .collect();
-                Ok(Snapshot::from_lazy_parts(
-                    slots,
-                    o.num_base,
-                    o.generation,
-                    o.router,
-                    o.embed,
-                    Some(backing),
-                ))
-            }
-            _ => Snapshot::load(path, true),
-        }
-    }
-
-    /// Eager v4 load: same validation as [`Snapshot::open_mmap`], then
-    /// every shard decoded up front (fanned out over worker threads) and
-    /// the corpus re-assembled — the write-path open, where later
-    /// operations must not discover corruption behind infallible
-    /// signatures.
-    fn load_v4_eager(path: &Path, parallel: bool) -> Result<Snapshot, Error> {
-        let o = open_v4(path)?;
+        let o = open_sections(path)?;
         let threads = if parallel { 0 } else { 1 };
         let decoded: Vec<Result<Shard, SnapshotFileError>> =
             koko_par::par_map(&o.shard_secs, threads, |i, secs| {
@@ -517,128 +450,42 @@ impl Snapshot {
         Ok(snap)
     }
 
-    /// Load a payload-framed (v1–3) snapshot.
-    fn load_payload(path: &Path, parallel: bool) -> Result<Snapshot, Error> {
-        let (version, payload) = read_snapshot_file_versioned(path).map_err(Error::Snapshot)?;
-        let mut input: &[u8] = &payload;
-        let embed = Embeddings::decode(&mut input).map_err(|e| corrupt(path, e))?;
-        // v1 files predate the manifest: all-base, generation 1.
-        let (generation, num_base) = if version >= 2 {
-            let generation = u64::decode(&mut input).map_err(|e| corrupt(path, e))?;
-            let num_base = u64::decode(&mut input).map_err(|e| corrupt(path, e))? as usize;
-            (generation, Some(num_base))
-        } else {
-            (1, None)
-        };
-        let router = ShardRouter::decode(&mut input).map_err(|e| corrupt(path, e))?;
-        let sections = Vec::<Blob>::decode(&mut input).map_err(|e| corrupt(path, e))?;
-        let num_base = num_base.unwrap_or(sections.len());
-        if num_base > sections.len() {
-            return Err(corrupt(
-                path,
-                DecodeError(format!(
-                    "manifest claims {num_base} base shards, payload holds {}",
-                    sections.len()
-                )),
-            ));
-        }
-        // v3 appends per-shard score-bound statistics. An absent section —
-        // even in a v3-stamped file — is tolerated as "no stats" (missing
-        // statistics only cost pruning, never answers); a *present but
-        // malformed* one is corrupt like any other section.
-        let stats: Vec<Option<ShardBoundStats>> = if version >= 3 && !input.is_empty() {
-            let stats =
-                Vec::<Option<ShardBoundStats>>::decode(&mut input).map_err(|e| corrupt(path, e))?;
-            if stats.len() != sections.len() {
-                return Err(corrupt(
-                    path,
-                    DecodeError(format!(
-                        "stats section describes {} shards, payload holds {}",
-                        stats.len(),
-                        sections.len()
-                    )),
-                ));
-            }
-            stats
-        } else {
-            vec![None; sections.len()]
-        };
-        if !input.is_empty() {
-            return Err(corrupt(path, DecodeError("trailing payload bytes".into())));
-        }
-        if router.num_shards() != sections.len() {
-            return Err(corrupt(
-                path,
-                DecodeError(format!(
-                    "router describes {} shards, payload holds {}",
-                    router.num_shards(),
-                    sections.len()
-                )),
-            ));
-        }
-
-        let threads = if parallel { 0 } else { 1 };
-        // Decode every shard, then rebuild the in-memory corpus from the
-        // shard document stores — both fan out per shard.
-        let shards: Vec<Result<Shard, DecodeError>> =
-            koko_par::par_map(&sections, threads, |_, blob| Shard::from_bytes(&blob.0));
-        let mut decoded = Vec::with_capacity(shards.len());
-        for (shard, stats) in shards.into_iter().zip(stats) {
-            let mut shard = shard.map_err(|e| corrupt(path, e))?;
-            shard.set_bound_stats(stats);
-            decoded.push(shard);
-        }
-        let mut expect_doc = 0u32;
-        let mut expect_sid = 0u32;
-        for (i, shard) in decoded.iter().enumerate() {
-            if shard.doc_range().start != expect_doc || shard.sid_range().start != expect_sid {
-                return Err(corrupt(
-                    path,
-                    DecodeError(format!("shard {i} is not contiguous with its predecessor")),
-                ));
-            }
-            expect_doc = shard.doc_range().end;
-            expect_sid = shard.sid_range().end;
-        }
-        // The stored router must agree with the shard ranges exactly —
-        // a mismatched router would misroute (or panic on) every id
-        // lookup at query time, long after load claimed success.
-        if router != ShardRouter::from_shards(&decoded) {
-            return Err(corrupt(
-                path,
-                DecodeError("shard router disagrees with the shard ranges".into()),
-            ));
-        }
-
-        let doc_lists: Vec<Result<Vec<Document>, DecodeError>> =
-            koko_par::par_map(&decoded, threads, |_, shard| {
-                shard
-                    .doc_range()
-                    .map(|doc| shard.load_document(doc))
-                    .collect()
-            });
-        let mut docs = Vec::with_capacity(expect_doc as usize);
-        for list in doc_lists {
-            docs.extend(list.map_err(|e| corrupt(path, e))?);
-        }
-        let corpus = Corpus::new(docs);
-        if corpus.num_sentences() != expect_sid as usize {
-            return Err(corrupt(
-                path,
-                DecodeError(format!(
-                    "stored documents hold {} sentences, shard ranges cover {}",
-                    corpus.num_sentences(),
-                    expect_sid
-                )),
-            ));
-        }
-        Ok(Snapshot::from_parts(
-            corpus,
-            decoded.into_iter().map(Arc::new).collect(),
-            num_base,
-            generation,
-            router,
-            embed,
+    /// Open the snapshot at `path` by memory-mapping it: validates the
+    /// header, section table, manifest and router in O(sections) without
+    /// reading any shard payload, then returns a snapshot whose shards
+    /// decode out of the mapping the first time a query touches them.
+    /// Each section is checksum-verified on that first touch, so
+    /// corruption surfaces as a structured error from the query that
+    /// found it — never silently and never as a crash.
+    ///
+    /// Cold-open cost is independent of corpus size, and a corpus larger
+    /// than RAM is served under the page cache's eviction policy. The
+    /// mapping holds the file's pages; KOKO's own writers never truncate
+    /// a published snapshot (full saves replace the file by rename,
+    /// appends only extend it), but an *external* truncation of the
+    /// mapped file can fault a reader fatally — the classic mmap
+    /// contract.
+    pub fn open_mmap(path: &Path) -> Result<Snapshot, Error> {
+        let o = open_sections(path)?;
+        let backing = backing_of(path, &o);
+        let slots = o
+            .shard_secs
+            .iter()
+            .enumerate()
+            .map(|(i, secs)| {
+                let sf = o.sf.clone();
+                let router = o.router.clone();
+                let secs = *secs;
+                ShardSlot::lazy(move || decode_shard_sections(&sf, i, secs, &router))
+            })
+            .collect();
+        Ok(Snapshot::from_lazy_parts(
+            slots,
+            o.num_base,
+            o.generation,
+            o.router,
+            o.embed,
+            Some(backing),
         ))
     }
 }
@@ -647,12 +494,51 @@ impl Snapshot {
 mod tests {
     use super::*;
     use crate::engine::Koko;
-    use koko_storage::{write_snapshot_file, SNAPSHOT_VERSION};
+    use koko_storage::SNAPSHOT_VERSION;
 
     fn tmp(name: &str) -> std::path::PathBuf {
         let dir = std::env::temp_dir().join("koko_core_persist_test");
         std::fs::create_dir_all(&dir).unwrap();
         dir.join(name)
+    }
+
+    /// Copy the snapshot at `src` to `dst` with every section passed
+    /// through `edit` (`None` drops it). The copy is written by the
+    /// section writer, so its checksums are valid whatever `edit` returns.
+    fn rewrite(
+        src: &Path,
+        dst: &Path,
+        mut edit: impl FnMut(&SectionEntry, &[u8]) -> Option<Vec<u8>>,
+    ) {
+        let sf = SectionedFile::open_mmap(src).unwrap();
+        let mut w = SectionWriter::new();
+        for e in &sf.table().entries {
+            if let Some(bytes) = edit(e, sf.section_bytes(e).unwrap().as_slice()) {
+                w.add_section(e.kind, e.index, &bytes);
+            }
+        }
+        write_sectioned_file(dst, &w.finish()).unwrap();
+    }
+
+    /// Both open paths refuse `path` at open with a `Corrupt` whose
+    /// detail mentions `needle`.
+    fn assert_corrupt_at_open(path: &Path, needle: &str) {
+        for (label, opened) in [
+            ("load", Snapshot::load(path, true)),
+            ("open_mmap", Snapshot::open_mmap(path)),
+        ] {
+            match opened {
+                Err(Error::Snapshot(SnapshotFileError::Corrupt { detail, .. })) => {
+                    assert!(detail.contains(needle), "{label}: {detail}");
+                }
+                other => panic!("{label}: expected Corrupt ({needle}), got {other:?}"),
+            }
+        }
+    }
+
+    /// A shard's persisted form: its meta and store sections.
+    fn sections(shard: &Shard) -> (Vec<u8>, Vec<u8>) {
+        (shard.encode_meta_section(), shard.store().to_bytes())
     }
 
     fn sample() -> Koko {
@@ -674,8 +560,9 @@ mod tests {
     fn saves_are_version_4() {
         let path = tmp("v4_stamp.koko");
         sample().snapshot().save(&path, true).unwrap();
-        assert_eq!(read_snapshot_version(&path).unwrap(), SECTIONED_VERSION);
-        assert_eq!(SNAPSHOT_VERSION, SECTIONED_VERSION);
+        let data = std::fs::read(&path).unwrap();
+        assert_eq!(&data[8..10], &SNAPSHOT_VERSION.to_le_bytes());
+        assert_eq!(SNAPSHOT_VERSION, 4);
     }
 
     #[test]
@@ -763,32 +650,8 @@ mod tests {
         let b = Koko::from_texts_with_opts(&["One.", "Two.", "Three.", "Four."], opts);
         assert_ne!(a.snapshot().router(), b.snapshot().router());
 
-        // Hand-assemble a payload-framed (v3) file pairing b's shards
-        // with a's router — the legacy path must still validate.
-        let mut buf = bytes::BytesMut::new();
-        b.snapshot().embeddings().encode(&mut buf);
-        1u64.encode(&mut buf); // manifest: generation
-        (b.snapshot().num_shards() as u64).encode(&mut buf); // manifest: num_base
-        a.snapshot().router().encode(&mut buf);
-        let sections: Vec<Blob> = b
-            .snapshot()
-            .shards()
-            .iter()
-            .map(|s| Blob(s.to_bytes()))
-            .collect();
-        sections.encode(&mut buf);
-        let path = tmp("router_mismatch.koko");
-        write_snapshot_file(&path, &buf).unwrap();
-
-        match Snapshot::load(&path, true) {
-            Err(Error::Snapshot(SnapshotFileError::Corrupt { detail, .. })) => {
-                assert!(detail.contains("router"), "{detail}");
-            }
-            other => panic!("expected router-mismatch rejection, got {other:?}"),
-        }
-
-        // The same mismatch through a hand-built *v4* file: shard ranges
-        // are validated against the router on materialization.
+        // Hand-build a file pairing b's shards with a's router: shard
+        // ranges are validated against the router on materialization.
         let mut w = SectionWriter::new();
         w.add_section(SEC_EMBED, 0, &b.snapshot().embeddings().to_bytes());
         let mut manifest = Vec::new();
@@ -800,44 +663,14 @@ mod tests {
             w.add_section(SEC_SHARD, i as u32, &shard.encode_meta_section());
             w.add_section(SEC_STORE, i as u32, &shard.store().to_bytes());
         }
-        let path4 = tmp("router_mismatch_v4.koko");
-        write_sectioned_file(&path4, &w.finish()).unwrap();
-        match Snapshot::load(&path4, true) {
+        let path = tmp("router_mismatch.koko");
+        write_sectioned_file(&path, &w.finish()).unwrap();
+        match Snapshot::load(&path, true) {
             Err(Error::Snapshot(SnapshotFileError::Corrupt { detail, .. })) => {
                 assert!(detail.contains("router"), "{detail}");
             }
-            other => panic!("expected v4 router-mismatch rejection, got {other:?}"),
+            other => panic!("expected router-mismatch rejection, got {other:?}"),
         }
-    }
-
-    #[test]
-    fn version1_files_load_as_generation1_all_base() {
-        let koko = sample();
-        let snap = koko.snapshot();
-        // Hand-assemble the pre-live v1 payload: no manifest between the
-        // embeddings and the router.
-        let mut buf = bytes::BytesMut::new();
-        snap.embeddings().encode(&mut buf);
-        snap.router().encode(&mut buf);
-        let sections: Vec<Blob> = snap.shards().iter().map(|s| Blob(s.to_bytes())).collect();
-        sections.encode(&mut buf);
-        let path = tmp("v1.koko");
-        write_snapshot_file(&path, &buf).unwrap();
-        let mut data = std::fs::read(&path).unwrap();
-        data[8..10].copy_from_slice(&1u16.to_le_bytes());
-        std::fs::write(&path, &data).unwrap();
-
-        let loaded = Snapshot::load(&path, true).unwrap();
-        assert_eq!(loaded.generation(), 1);
-        assert_eq!(loaded.num_base_shards(), loaded.num_shards());
-        assert_eq!(loaded.num_delta_shards(), 0);
-        assert_eq!(
-            loaded.corpus().num_documents(),
-            snap.corpus().num_documents()
-        );
-        // open_mmap on a payload-framed file falls back to eager load.
-        let mapped = Snapshot::open_mmap(&path).unwrap();
-        assert_eq!(mapped.num_documents(), snap.corpus().num_documents());
     }
 
     #[test]
@@ -857,21 +690,49 @@ mod tests {
             loaded.corpus().num_documents(),
             snap.corpus().num_documents()
         );
-        // A base-count past the shard list is rejected, not trusted.
-        let mut buf = bytes::BytesMut::new();
-        snap.embeddings().encode(&mut buf);
-        snap.generation().encode(&mut buf);
-        (snap.num_shards() as u64 + 5).encode(&mut buf);
-        snap.router().encode(&mut buf);
-        let sections: Vec<Blob> = snap.shards().iter().map(|s| Blob(s.to_bytes())).collect();
-        sections.encode(&mut buf);
-        let bad = tmp("bad_manifest.koko");
-        write_snapshot_file(&bad, &buf).unwrap();
-        match Snapshot::load(&bad, true) {
-            Err(Error::Snapshot(SnapshotFileError::Corrupt { detail, .. })) => {
-                assert!(detail.contains("base shards"), "{detail}");
+    }
+
+    #[test]
+    fn manifest_base_count_past_the_router_is_rejected() {
+        let koko = sample();
+        koko.add_texts(&["The barista poured a latte."]);
+        let good = tmp("base_count_good.koko");
+        koko.snapshot().save(&good, true).unwrap();
+        let num_shards = koko.snapshot().num_shards() as u64;
+        let bad = tmp("base_count_bad.koko");
+        rewrite(&good, &bad, |e, bytes| {
+            let mut bytes = bytes.to_vec();
+            if e.kind == SEC_MANIFEST {
+                bytes[8..16].copy_from_slice(&(num_shards + 5).to_le_bytes());
             }
-            other => panic!("expected manifest rejection, got {other:?}"),
+            Some(bytes)
+        });
+        assert_corrupt_at_open(&bad, "base shards");
+        // Exactly as many base shards as the router describes is fine.
+        rewrite(&good, &bad, |e, bytes| {
+            let mut bytes = bytes.to_vec();
+            if e.kind == SEC_MANIFEST {
+                bytes[8..16].copy_from_slice(&num_shards.to_le_bytes());
+            }
+            Some(bytes)
+        });
+        assert_eq!(Snapshot::load(&bad, true).unwrap().num_delta_shards(), 0);
+    }
+
+    #[test]
+    fn manifest_of_the_wrong_length_is_rejected() {
+        let good = tmp("manifest_len_good.koko");
+        sample().snapshot().save(&good, true).unwrap();
+        let bad = tmp("manifest_len_bad.koko");
+        for len in [0usize, 8, 15, 17, 24] {
+            rewrite(&good, &bad, |e, bytes| {
+                let mut bytes = bytes.to_vec();
+                if e.kind == SEC_MANIFEST {
+                    bytes.resize(len, 0);
+                }
+                Some(bytes)
+            });
+            assert_corrupt_at_open(&bad, &format!("manifest section is {len} bytes"));
         }
     }
 
@@ -898,66 +759,74 @@ mod tests {
     }
 
     #[test]
-    fn v2_files_without_stats_load_and_resave() {
+    fn stats_less_files_load_and_resave_without_stats_sections() {
         let koko = sample();
         let snap = koko.snapshot();
-        // Hand-assemble a v2 payload: manifest + router + shards, no
-        // stats section, stamped version 2.
-        let mut buf = bytes::BytesMut::new();
-        snap.embeddings().encode(&mut buf);
-        snap.generation().encode(&mut buf);
-        (snap.num_base_shards() as u64).encode(&mut buf);
-        snap.router().encode(&mut buf);
-        let sections: Vec<Blob> = snap.shards().iter().map(|s| Blob(s.to_bytes())).collect();
-        sections.encode(&mut buf);
-        let path = tmp("v2.koko");
-        write_snapshot_file(&path, &buf).unwrap();
-        let mut data = std::fs::read(&path).unwrap();
-        data[8..10].copy_from_slice(&2u16.to_le_bytes());
-        std::fs::write(&path, &data).unwrap();
+        let full = tmp("with_stats.koko");
+        snap.save(&full, true).unwrap();
+        // The file a writer without statistics would have produced.
+        let path = tmp("stats_less.koko");
+        rewrite(&full, &path, |e, bytes| {
+            (e.kind != SEC_BOUNDS && e.kind != SEC_BLOCKS).then(|| bytes.to_vec())
+        });
 
         let loaded = Snapshot::load(&path, true).unwrap();
-        assert!(
-            loaded.shards().iter().all(|s| s.bound_stats().is_none()),
-            "pre-v3 files carry no stats"
-        );
-        assert!(
-            loaded.shards().iter().all(|s| s.block_stats().is_none()),
-            "payload-framed files carry no block stats"
-        );
+        let mapped = Snapshot::open_mmap(&path).unwrap();
+        for s in loaded.shards().iter().chain(mapped.try_shards().unwrap()) {
+            assert!(s.bound_stats().is_none(), "no BOUNDS section, no stats");
+            assert!(s.block_stats().is_none(), "no BLOCKS section, no stats");
+        }
         assert_eq!(
             loaded.corpus().num_documents(),
             snap.corpus().num_documents()
         );
-        // Re-saving the stats-less snapshot writes a valid v4 file with
-        // no BOUNDS sections.
-        let resaved = tmp("v2_resave.koko");
+        // Re-saving the stats-less snapshot writes a valid file with no
+        // statistics sections.
+        let resaved = tmp("stats_less_resave.koko");
         loaded.save(&resaved, false).unwrap();
+        let sf = SectionedFile::open_mmap(&resaved).unwrap();
+        assert_eq!(sf.table().of_kind(SEC_BOUNDS).count(), 0);
+        assert_eq!(sf.table().of_kind(SEC_BLOCKS).count(), 0);
+        assert_eq!(
+            sf.table().of_kind(SEC_SHARD).count(),
+            snap.num_shards(),
+            "every shard still saved"
+        );
         let again = Snapshot::load(&resaved, true).unwrap();
         assert!(again.shards().iter().all(|s| s.bound_stats().is_none()));
     }
 
     #[test]
     fn malformed_stats_section_is_rejected() {
-        let koko = sample();
-        let snap = koko.snapshot();
-        let mut buf = bytes::BytesMut::new();
-        snap.embeddings().encode(&mut buf);
-        snap.generation().encode(&mut buf);
-        (snap.num_base_shards() as u64).encode(&mut buf);
-        snap.router().encode(&mut buf);
-        let sections: Vec<Blob> = snap.shards().iter().map(|s| Blob(s.to_bytes())).collect();
-        sections.encode(&mut buf);
-        // A stats section for the wrong number of shards.
-        let stats: Vec<Option<ShardBoundStats>> = vec![None; snap.num_shards() + 3];
-        stats.encode(&mut buf);
-        let path = tmp("bad_stats.koko");
-        write_snapshot_file(&path, &buf).unwrap();
-        match Snapshot::load(&path, true) {
-            Err(Error::Snapshot(SnapshotFileError::Corrupt { detail, .. })) => {
-                assert!(detail.contains("stats section"), "{detail}");
+        let good = tmp("stats_good.koko");
+        sample().snapshot().save(&good, true).unwrap();
+        // A BOUNDS section whose declared count disagrees with its body,
+        // and one whose hashes are out of order; checksums stay valid, so
+        // the decoder is what must refuse them.
+        let unsorted: Vec<u8> = [2u64, 9, 3].iter().flat_map(|w| w.to_le_bytes()).collect();
+        let bad = tmp("stats_bad.koko");
+        for needle in ["declares", "not sorted"] {
+            rewrite(&good, &bad, |e, bytes| {
+                let mut bytes = bytes.to_vec();
+                if e.kind == SEC_BOUNDS && needle == "declares" {
+                    bytes[0] ^= 0x01;
+                } else if e.kind == SEC_BOUNDS {
+                    bytes = unsorted.clone();
+                }
+                Some(bytes)
+            });
+            match Snapshot::load(&bad, true) {
+                Err(Error::Snapshot(SnapshotFileError::Corrupt { detail, .. })) => {
+                    assert!(detail.contains(needle), "{detail}");
+                }
+                other => panic!("expected stats rejection ({needle}), got {other:?}"),
             }
-            other => panic!("expected stats rejection, got {other:?}"),
+            // The mapped open defers it to the shard's first touch.
+            let mapped = Snapshot::open_mmap(&bad).unwrap();
+            assert!(matches!(
+                mapped.try_shards(),
+                Err(SnapshotFileError::Corrupt { .. })
+            ));
         }
     }
 
@@ -1016,7 +885,7 @@ mod tests {
         // Full materialization matches the eager load exactly.
         let eager = Snapshot::load(&path, true).unwrap();
         for (a, b) in mapped.try_shards().unwrap().iter().zip(eager.shards()) {
-            assert_eq!(a.to_bytes(), b.to_bytes());
+            assert_eq!(sections(a), sections(b));
             assert_eq!(a.bound_stats(), b.bound_stats());
             assert_eq!(a.block_stats(), b.block_stats());
         }

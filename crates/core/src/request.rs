@@ -307,8 +307,8 @@ pub struct ShardExplain {
     pub early_stopped: bool,
     /// Upper bound on any row score this shard could produce, derived
     /// from the compiled query plus the shard's bound statistics (`1.0`
-    /// or the weights-only sum when statistics are absent, e.g. pre-v3
-    /// snapshots). `0.0` when the bound proves the shard row-free.
+    /// or the weights-only sum when statistics are absent, i.e. the
+    /// snapshot has no `BOUNDS` section for the shard). `0.0` when the bound proves the shard row-free.
     pub score_bound: f64,
     /// The `ScoreDesc` top-k heap floor when the shard finished with a
     /// full heap — the score a document had to beat to matter. `None`
@@ -324,8 +324,8 @@ pub struct ShardExplain {
     /// mode) or unable to beat the heap floor (ranked top-k) while the
     /// shard-wide bound alone could not.
     /// Disjoint from [`ShardExplain::bound_skipped_docs`]; zero when the
-    /// snapshot carries no block statistics (pre-v4 formats or stripped
-    /// sections).
+    /// snapshot carries no block statistics (no `BLOCKS` section for the
+    /// shard).
     pub block_bound_skipped_docs: usize,
     /// Galloping probes the DPLI candidate stream performed while
     /// intersecting this shard's posting cursors (exponential probe +

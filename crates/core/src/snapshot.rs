@@ -17,7 +17,7 @@
 //! * **the executor** ([`crate::engine`]): stateless per-query logic that
 //!   borrows a snapshot.
 //!
-//! Since snapshot format v4, a snapshot opened from a memory-mapped file
+//! A snapshot opened from a memory-mapped file
 //! ([`Snapshot::open_mmap`]) starts **lazy**: each shard slot holds a
 //! closure that decodes the shard out of its mapped sections on first
 //! touch (behind a `OnceLock`), and the global corpus is only
@@ -44,7 +44,7 @@
 use koko_embed::Embeddings;
 use koko_index::{build_shards, Shard, ShardRouter};
 use koko_nlp::{Corpus, Document, Sid};
-use koko_storage::{Db, DocStore, SectionEntry, SnapshotFileError, SNAPSHOT_HEADER_LEN};
+use koko_storage::{SectionEntry, SnapshotFileError, SNAPSHOT_HEADER_LEN};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
@@ -64,9 +64,9 @@ fn fresh_epoch() -> u64 {
 /// output is shard-layout independent.
 pub const DELTA_SEAL_DOCS: usize = 256;
 
-/// One shard's slot in a snapshot: either already materialized (eager
-/// builds, v1–3 loads) or a decode-on-first-touch closure over a mapped
-/// v4 section (lazy opens). The result — including a decode *failure* —
+/// One shard's slot in a snapshot: either already materialized (builds,
+/// eager loads) or a decode-on-first-touch closure over a mapped section
+/// (lazy opens). The result — including a decode *failure* —
 /// is computed once and cached; a corrupt shard reports the same
 /// structured error to every query that touches it.
 pub(crate) struct ShardSlot {
@@ -134,7 +134,7 @@ pub(crate) struct PersistedShardRef {
     pub blocks: Option<SectionEntry>,
 }
 
-/// Identity + section map of the v4 file this snapshot came from (or was
+/// Identity + section map of the file this snapshot came from (or was
 /// last saved to). `None` entries mean "changed since the file was
 /// written — must be re-encoded on the next save".
 #[derive(Debug, Clone)]
@@ -172,10 +172,7 @@ pub struct Snapshot {
     /// Base-rebuild counter: 1 for a fresh build, +1 per compaction;
     /// preserved by delta appends and persisted in the `.koko` manifest.
     generation: u64,
-    /// Global document store, assembled lazily from the per-shard stores
-    /// for persistence (`Db::save_dir`) and other whole-corpus consumers.
-    global_db: OnceLock<Db>,
-    /// Section map of the backing v4 file, for append-on-add saves.
+    /// Section map of the backing file, for append-on-add saves.
     /// Behind a mutex so a successful append can refresh it through
     /// `&self` (saves take `&self`).
     pub(crate) backing: Mutex<Option<SnapshotBacking>>,
@@ -250,27 +247,13 @@ impl Snapshot {
             embed,
             epoch: fresh_epoch(),
             generation: generation.max(1),
-            global_db: OnceLock::new(),
             backing: Mutex::new(None),
         }
     }
 
-    /// Assemble a snapshot from already-built parts — the deserialization
-    /// path ([`crate::persist`]), which must not re-run any build step.
-    pub(crate) fn from_parts(
-        corpus: Corpus,
-        shards: Vec<Arc<Shard>>,
-        num_base: usize,
-        generation: u64,
-        router: ShardRouter,
-        embed: Embeddings,
-    ) -> Snapshot {
-        let num_base = num_base.min(shards.len());
-        Snapshot::assemble_eager(corpus, shards, num_base, generation, router, embed)
-    }
-
     /// Assemble a snapshot whose shards materialize lazily from `slots`
-    /// — the v4 open path ([`crate::persist`]). The corpus cell starts
+    /// — the open paths of [`crate::persist`] (the eager load passes
+    /// ready slots). The corpus cell starts
     /// empty; the router (already validated against the section table)
     /// answers the size questions until something forces materialization.
     pub(crate) fn from_lazy_parts(
@@ -291,7 +274,6 @@ impl Snapshot {
             embed,
             epoch: fresh_epoch(),
             generation: generation.max(1),
-            global_db: OnceLock::new(),
             backing: Mutex::new(backing),
         }
     }
@@ -370,7 +352,6 @@ impl Snapshot {
             embed: self.embed.clone(),
             epoch: fresh_epoch(),
             generation: self.generation,
-            global_db: OnceLock::new(),
             backing: Mutex::new(backing),
         }
     }
@@ -579,23 +560,8 @@ impl Snapshot {
         self.shard_for_doc(doc).load_document(doc)
     }
 
-    /// A database over the whole corpus, with the global document store
-    /// assembled from the per-shard stores (blob copies, no re-encode).
-    /// Built on first use and cached for the snapshot's lifetime.
-    pub fn db(&self) -> &Db {
-        self.global_db.get_or_init(|| {
-            let mut docs = DocStore::new();
-            for shard in self.shards() {
-                docs.append_store(shard.store());
-            }
-            let db = Db::new();
-            db.set_docs(docs);
-            db
-        })
-    }
-
-    /// Swap the embedding model in place (shards, corpus and the lazy
-    /// global db are untouched — embeddings never affect them).
+    /// Swap the embedding model in place (shards and corpus are
+    /// untouched — embeddings never affect them).
     pub fn set_embeddings(&mut self, embed: Embeddings) {
         self.embed = embed;
         // The on-file embeddings section no longer matches this model.
@@ -605,8 +571,8 @@ impl Snapshot {
     }
 
     /// A copy of this snapshot with a different embedding model (shards
-    /// are shared, not rebuilt; the lazy global db resets; a new epoch is
-    /// minted because descriptor scores can change).
+    /// are shared, not rebuilt; a new epoch is minted because descriptor
+    /// scores can change).
     pub fn with_embeddings(&self, embed: Embeddings) -> Snapshot {
         let backing = self
             .backing
@@ -630,7 +596,6 @@ impl Snapshot {
             embed,
             epoch: fresh_epoch(),
             generation: self.generation,
-            global_db: OnceLock::new(),
             backing: Mutex::new(backing),
         }
     }
@@ -640,7 +605,7 @@ impl Snapshot {
 mod tests {
     use super::*;
     use koko_nlp::Pipeline;
-    use koko_storage::Codec;
+    use koko_storage::{Codec, SharedBytes};
 
     fn corpus() -> Corpus {
         let texts: Vec<String> = (0..12)
@@ -663,17 +628,6 @@ mod tests {
         assert_eq!(total, c.num_sentences());
         for doc in 0..c.num_documents() as u32 {
             assert_eq!(&snap.load_document(doc).unwrap(), c.document(doc));
-        }
-    }
-
-    #[test]
-    fn global_db_matches_corpus() {
-        let c = corpus();
-        let snap = Snapshot::build(c.clone(), 4, false);
-        let db = snap.db();
-        assert_eq!(db.with_docs(|d| d.len()), c.num_documents());
-        for doc in 0..c.num_documents() as u32 {
-            assert_eq!(&db.load_document(doc).unwrap(), c.document(doc));
         }
     }
 
@@ -768,7 +722,8 @@ mod tests {
         let batch = Snapshot::build(grown.corpus().clone(), 3, false);
         assert_eq!(batch.num_shards(), compacted.num_shards());
         for (a, b) in batch.shards().iter().zip(compacted.shards()) {
-            assert_eq!(a.to_bytes(), b.to_bytes());
+            assert_eq!(a.encode_meta_section(), b.encode_meta_section());
+            assert_eq!(a.store().to_bytes(), b.store().to_bytes());
         }
     }
 
@@ -782,7 +737,11 @@ mod tests {
         let calls2 = calls.clone();
         let slot = ShardSlot::lazy(move || {
             calls2.fetch_add(1, Ordering::SeqCst);
-            Ok(Shard::from_bytes(&shard.to_bytes()).expect("valid bytes"))
+            let store = SharedBytes::from_vec(shard.store().to_bytes());
+            Ok(
+                Shard::decode_sections(&shard.encode_meta_section(), store, None, None)
+                    .expect("valid sections"),
+            )
         });
         assert!(slot.get().is_ok());
         assert!(slot.get().is_ok());

@@ -40,10 +40,9 @@ use std::ops::Range;
 /// are ignored — they can only make the bound looser, never unsound).
 ///
 /// Stats are computed at shard build time and persisted as their own
-/// snapshot section (format v3). They are deliberately *not* part of
-/// [`Shard`]'s own [`Codec`] frame, so shard bytes stay identical across
-/// versions; a shard decoded from a pre-v3 file simply has no stats and
-/// queries fall back to the conservative bound.
+/// `SEC_BOUNDS` snapshot section, outside the shard's meta section; a
+/// shard decoded from a file without that section simply has no stats
+/// and queries fall back to the conservative bound.
 #[derive(Debug, Clone, Default)]
 pub struct ShardBoundStats {
     /// Sorted, deduplicated FNV-1a64 hashes of every distinct lower-cased
@@ -51,8 +50,8 @@ pub struct ShardBoundStats {
     token_hashes: HashStore,
 }
 
-/// Backing for the hash array: owned (built / decoded from a v1–3
-/// payload) or a zero-copy `u64` view into a mapped v4 bounds section.
+/// Backing for the hash array: owned (built, or copied out of a
+/// misaligned section) or a zero-copy `u64` view into a mapped section.
 #[derive(Debug, Clone)]
 enum HashStore {
     Owned(Vec<u64>),
@@ -122,13 +121,11 @@ impl ShardBoundStats {
         self.hashes().len()
     }
 
-    /// Encode as a v4 `SEC_BOUNDS` section: `count (u64 LE)` then the
+    /// Encode as a `SEC_BOUNDS` section: `count (u64 LE)` then the
     /// sorted hashes as raw `u64 LE`s starting at byte 8. Because the
     /// section writer 8-aligns section starts, the hash array sits
     /// 8-aligned in the file and a mapped open can serve it as a
-    /// [`U64View`] without copying. (The [`Codec`] frame — a `u32`-count
-    /// `Vec<u64>` — is kept unchanged for v3 payloads; its 4-byte prefix
-    /// is exactly what ruins alignment, hence the separate layout here.)
+    /// [`U64View`] without copying.
     pub fn encode_section(&self) -> Vec<u8> {
         let hashes = self.hashes();
         let mut out = Vec::with_capacity(8 + hashes.len() * 8);
@@ -139,7 +136,7 @@ impl ShardBoundStats {
         out
     }
 
-    /// Decode a v4 `SEC_BOUNDS` section, serving the hash array as a
+    /// Decode a `SEC_BOUNDS` section, serving the hash array as a
     /// zero-copy view when the backing is 8-aligned (mapped sections
     /// are) and falling back to an owned copy otherwise. Sortedness is
     /// validated in O(n) either way — hostile bytes must yield errors,
@@ -175,29 +172,6 @@ impl ShardBoundStats {
             ));
         }
         Ok(stats)
-    }
-}
-
-/// Stats serialize as the sorted hash list — their own frame, appended to
-/// the snapshot payload as a v3 section (never inside [`Shard`]'s frame).
-impl Codec for ShardBoundStats {
-    fn encode(&self, buf: &mut bytes::BytesMut) {
-        let hashes = self.hashes();
-        (hashes.len() as u32).encode(buf);
-        for h in hashes {
-            h.encode(buf);
-        }
-    }
-    fn decode(input: &mut &[u8]) -> Result<Self, DecodeError> {
-        let token_hashes = Vec::<u64>::decode(input)?;
-        if token_hashes.windows(2).any(|w| w[0] >= w[1]) {
-            return Err(DecodeError(
-                "bound stats token hashes are not sorted and distinct".into(),
-            ));
-        }
-        Ok(ShardBoundStats {
-            token_hashes: HashStore::Owned(token_hashes),
-        })
     }
 }
 
@@ -250,7 +224,7 @@ pub const BLOCK_DOCS: u32 = 32;
 /// could reach and skip whole doc ranges that survive the coarser shard
 /// bound.
 ///
-/// Layout is one flat `u64` array (zero-copy out of a mapped v4
+/// Layout is one flat `u64` array (zero-copy out of a mapped
 /// `SEC_BLOCKS` section):
 ///
 /// ```text
@@ -260,7 +234,7 @@ pub const BLOCK_DOCS: u32 = 32;
 /// ```
 ///
 /// Like the shard stats, blocks are *necessary-condition* sound and live
-/// outside [`Shard`]'s codec frame; a snapshot without a blocks section
+/// outside [`Shard`]'s meta section; a snapshot without a blocks section
 /// loads with `None` and queries fall back to shard-level bounds only —
 /// byte-identical answers, just less pruning.
 #[derive(Debug, Clone, Default)]
@@ -352,7 +326,7 @@ impl BlockBoundStats {
         self.hashes().len()
     }
 
-    /// Encode as a v4 `SEC_BLOCKS` section: the flat `u64` array as raw
+    /// Encode as a `SEC_BLOCKS` section: the flat `u64` array as raw
     /// LE words. Section starts are 8-aligned, so a mapped open serves
     /// the whole array as a [`U64View`] without copying.
     pub fn encode_section(&self) -> Vec<u8> {
@@ -364,7 +338,7 @@ impl BlockBoundStats {
         out
     }
 
-    /// Decode a v4 `SEC_BLOCKS` section, zero-copy when the backing is
+    /// Decode a `SEC_BLOCKS` section, zero-copy when the backing is
     /// 8-aligned (mapped sections are) with an owned-copy fallback.
     /// Every structural invariant — offset monotonicity, hash-array
     /// extent, per-block sortedness — is validated in O(n): hostile
@@ -456,21 +430,21 @@ pub struct Shard {
     /// Encoded articles, addressed by *local* document index.
     store: DocStore,
     /// Score-bound statistics (see [`ShardBoundStats`]). Always present
-    /// on built shards; `None` after decoding a pre-v3 snapshot (queries
-    /// then use the conservative bound). Excluded from the shard's own
-    /// codec frame so shard bytes are version-independent.
+    /// on built shards; `None` after decoding a snapshot without a
+    /// `SEC_BOUNDS` section (queries then use the conservative bound).
+    /// Stored in its own section, outside the shard's meta section.
     bounds: Option<ShardBoundStats>,
     /// Block-max statistics (see [`BlockBoundStats`]). Always present on
     /// built shards; `None` after decoding a snapshot without a blocks
-    /// section (queries then prune at shard granularity only). Excluded
-    /// from the codec frame, like `bounds`.
+    /// section (queries then prune at shard granularity only). Stored in
+    /// its own section, like `bounds`.
     blocks: Option<BlockBoundStats>,
     /// *Local* first-sentence-id per local document, plus one sentinel
     /// holding the shard's sentence count — the shard-local analogue of
     /// `Corpus::doc_first_sid`, so the executor can translate sid↔doc
     /// without materializing a global `Corpus`. Derived state (from
     /// documents at build, from store blob headers at decode), never
-    /// part of the codec frame: shard bytes stay version-independent.
+    /// persisted.
     doc_sid_starts: Vec<Sid>,
 }
 
@@ -531,68 +505,6 @@ impl Shard {
             blocks,
             doc_sid_starts,
         }
-    }
-
-    /// Assemble a shard from decoded parts, running every structural
-    /// validation of the decode path. This is the single entry point for
-    /// both the payload-framed [`Codec::decode`] and the v4 sectioned
-    /// open, so the two loaders cannot drift: inverted ranges, a store
-    /// whose document count disagrees with the doc range, and an index
-    /// whose sentence count disagrees with the sid range are all
-    /// structured errors. Per-document sentence offsets are rebuilt in
-    /// O(docs) from the store's blob headers without decoding articles.
-    pub fn assemble(
-        id: usize,
-        docs: Range<u32>,
-        sids: Range<Sid>,
-        index: KokoIndex,
-        store: DocStore,
-        bounds: Option<ShardBoundStats>,
-    ) -> Result<Shard, DecodeError> {
-        if docs.start > docs.end || sids.start > sids.end {
-            return Err(DecodeError(format!(
-                "shard {id} has inverted ranges (docs {docs:?}, sids {sids:?})"
-            )));
-        }
-        if store.len() != docs.len() {
-            return Err(DecodeError(format!(
-                "shard {id} stores {} documents for a range of {}",
-                store.len(),
-                docs.len()
-            )));
-        }
-        if index.num_sentences() as usize != sids.len() {
-            // Local sids map 1:1 onto the shard's global sid range; a
-            // larger index would emit sids past the corpus end mid-query.
-            return Err(DecodeError(format!(
-                "shard {id} index covers {} sentences for a sid range of {}",
-                index.num_sentences(),
-                sids.len()
-            )));
-        }
-        let mut doc_sid_starts = Vec::with_capacity(store.len() + 1);
-        let mut at: Sid = 0;
-        for local in 0..store.len() as u32 {
-            doc_sid_starts.push(at);
-            at += store.sentence_count(local)? as Sid;
-        }
-        doc_sid_starts.push(at);
-        if at as usize != sids.len() {
-            return Err(DecodeError(format!(
-                "shard {id} documents hold {at} sentences for a sid range of {}",
-                sids.len()
-            )));
-        }
-        Ok(Shard {
-            id,
-            docs,
-            sids,
-            index,
-            store,
-            bounds,
-            blocks: None,
-            doc_sid_starts,
-        })
     }
 
     pub fn id(&self) -> usize {
@@ -682,16 +594,11 @@ impl Shard {
     }
 
     /// Score-bound statistics, if available. Built shards always carry
-    /// them; shards decoded from pre-v3 snapshots return `None` and the
-    /// executor falls back to the conservative (weights-only) bound.
+    /// them; shards decoded from a snapshot without a `SEC_BOUNDS`
+    /// section return `None` and the executor falls back to the
+    /// conservative (weights-only) bound.
     pub fn bound_stats(&self) -> Option<&ShardBoundStats> {
         self.bounds.as_ref()
-    }
-
-    /// Attach bound statistics decoded from a snapshot's stats section
-    /// (the load path — stats travel outside the shard's codec frame).
-    pub fn set_bound_stats(&mut self, stats: Option<ShardBoundStats>) {
-        self.bounds = stats;
     }
 
     /// Block-max statistics, if available. Built shards always carry
@@ -702,17 +609,11 @@ impl Shard {
         self.blocks.as_ref()
     }
 
-    /// Attach block-max statistics decoded from a snapshot's blocks
-    /// section (the load path — like [`Shard::set_bound_stats`], blocks
-    /// travel outside the shard's codec frame).
-    pub fn set_block_stats(&mut self, blocks: Option<BlockBoundStats>) {
-        self.blocks = blocks;
-    }
-
-    /// Encode the v4 `SEC_SHARD` section: the shard's identity + ranges +
+    /// Encode the `SEC_SHARD` section: the shard's identity + ranges +
     /// index frame, *without* the document store (which gets its own
     /// `SEC_STORE` section so article bytes can stay unmaterialized in
-    /// the mapping until first load).
+    /// the mapping until first load) and without the statistics (their
+    /// own optional sections).
     pub fn encode_meta_section(&self) -> Vec<u8> {
         let mut buf = bytes::BytesMut::new();
         (self.id as u64).encode(&mut buf);
@@ -724,12 +625,17 @@ impl Shard {
         buf.to_vec()
     }
 
-    /// Rebuild a shard from its v4 sections: the `SEC_SHARD` meta bytes,
-    /// the `SEC_STORE` bytes (decoded as zero-copy views into the
+    /// Rebuild a shard from its snapshot sections: the `SEC_SHARD` meta
+    /// bytes, the `SEC_STORE` bytes (decoded as zero-copy views into the
     /// backing), and optional pre-decoded bounds / block-max stats.
-    /// Validation is shared with the payload path via
-    /// [`Shard::assemble`]; blocks are additionally checked to cover the
-    /// shard's document range exactly.
+    ///
+    /// Every structural inconsistency is a structured error: trailing
+    /// meta bytes, inverted ranges, a store whose document count
+    /// disagrees with the doc range, an index whose sentence count
+    /// disagrees with the sid range, and blocks that do not cover the
+    /// shard's documents exactly. Per-document sentence offsets are
+    /// rebuilt in O(docs) from the store's blob headers without decoding
+    /// articles.
     pub fn decode_sections(
         meta: &[u8],
         store_bytes: SharedBytes,
@@ -748,46 +654,62 @@ impl Shard {
             )));
         }
         let store = DocStore::decode_view(store_bytes)?;
-        let mut shard = Shard::assemble(id, docs, sids, index, store, bounds)?;
+        if docs.start > docs.end || sids.start > sids.end {
+            return Err(DecodeError(format!(
+                "shard {id} has inverted ranges (docs {docs:?}, sids {sids:?})"
+            )));
+        }
+        if store.len() != docs.len() {
+            return Err(DecodeError(format!(
+                "shard {id} stores {} documents for a range of {}",
+                store.len(),
+                docs.len()
+            )));
+        }
+        if index.num_sentences() as usize != sids.len() {
+            // Local sids map 1:1 onto the shard's global sid range; a
+            // larger index would emit sids past the corpus end mid-query.
+            return Err(DecodeError(format!(
+                "shard {id} index covers {} sentences for a sid range of {}",
+                index.num_sentences(),
+                sids.len()
+            )));
+        }
+        let mut doc_sid_starts = Vec::with_capacity(store.len() + 1);
+        let mut at: Sid = 0;
+        for local in 0..store.len() as u32 {
+            doc_sid_starts.push(at);
+            at += store.sentence_count(local)? as Sid;
+        }
+        doc_sid_starts.push(at);
+        if at as usize != sids.len() {
+            return Err(DecodeError(format!(
+                "shard {id} documents hold {at} sentences for a sid range of {}",
+                sids.len()
+            )));
+        }
         if let Some(b) = &blocks {
-            let expected = shard.num_documents().div_ceil(b.block_size() as usize);
+            let expected = docs.len().div_ceil(b.block_size() as usize);
             if b.num_blocks() != expected {
                 return Err(DecodeError(format!(
                     "shard {id} blocks section covers {} blocks for {} documents \
                      at block size {} (expected {expected})",
                     b.num_blocks(),
-                    shard.num_documents(),
+                    docs.len(),
                     b.block_size()
                 )));
             }
         }
-        shard.set_block_stats(blocks);
-        Ok(shard)
-    }
-}
-
-/// A shard serializes as its metadata plus its index and store, so a
-/// loaded shard answers queries without touching the original text. Shards
-/// encode/decode independently — the snapshot layer runs them in parallel.
-impl Codec for Shard {
-    fn encode(&self, buf: &mut bytes::BytesMut) {
-        (self.id as u64).encode(buf);
-        self.docs.start.encode(buf);
-        self.docs.end.encode(buf);
-        self.sids.start.encode(buf);
-        self.sids.end.encode(buf);
-        self.index.encode(buf);
-        self.store.encode(buf);
-    }
-    fn decode(input: &mut &[u8]) -> Result<Self, DecodeError> {
-        let id = u64::decode(input)? as usize;
-        let docs = u32::decode(input)?..u32::decode(input)?;
-        let sids = Sid::decode(input)?..Sid::decode(input)?;
-        let index = KokoIndex::decode(input)?;
-        let store = DocStore::decode(input)?;
-        // Stats live in the snapshot's own v3 section; the loader
-        // attaches them after decode. Absent ⇒ conservative bounds.
-        Shard::assemble(id, docs, sids, index, store, None)
+        Ok(Shard {
+            id,
+            docs,
+            sids,
+            index,
+            store,
+            bounds,
+            blocks,
+            doc_sid_starts,
+        })
     }
 }
 
@@ -1041,11 +963,31 @@ mod tests {
         }
     }
 
+    /// A shard's persisted form: its meta and store sections.
+    fn sections(shard: &Shard) -> (Vec<u8>, Vec<u8>) {
+        (shard.encode_meta_section(), shard.store().to_bytes())
+    }
+
+    /// Round-trip a shard through its sections, statistics included.
+    fn reload(shard: &Shard) -> Shard {
+        let (meta, store) = sections(shard);
+        Shard::decode_sections(
+            &meta,
+            SharedBytes::from_vec(store),
+            shard.bound_stats().cloned(),
+            shard.block_stats().cloned(),
+        )
+        .unwrap()
+    }
+
     #[test]
     fn shard_codec_round_trip_preserves_lookups() {
         let c = corpus(9);
         for shard in build_shards(&c, 3, 1) {
-            let back = Shard::from_bytes(&shard.to_bytes()).unwrap();
+            let back = reload(&shard);
+            assert_eq!(sections(&back), sections(&shard), "byte-identical");
+            assert_eq!(back.bound_stats(), shard.bound_stats());
+            assert_eq!(back.block_stats(), shard.block_stats());
             assert_eq!(back.id(), shard.id());
             assert_eq!(back.doc_range(), shard.doc_range());
             assert_eq!(back.sid_range(), shard.sid_range());
@@ -1082,15 +1024,22 @@ mod tests {
     fn corrupt_shard_bytes_error_not_panic() {
         let c = corpus(4);
         let shard = build_shards(&c, 1, 1).remove(0);
-        let bytes = shard.to_bytes();
-        for cut in 0..bytes.len().min(64) {
-            assert!(Shard::from_bytes(&bytes[..cut]).is_err(), "cut {cut}");
+        let (meta, store) = sections(&shard);
+        let decode = |meta: &[u8], store: &[u8]| {
+            Shard::decode_sections(meta, SharedBytes::from_vec(store.to_vec()), None, None)
+        };
+        assert!(decode(&meta, &store).is_ok());
+        for cut in 0..meta.len().min(64) {
+            assert!(decode(&meta[..cut], &store).is_err(), "meta cut {cut}");
+        }
+        for cut in 0..store.len().min(64) {
+            assert!(decode(&meta, &store[..cut]).is_err(), "store cut {cut}");
         }
         // Inverted document range is rejected structurally.
-        let mut bad = bytes.clone();
+        let mut bad = meta.clone();
         bad[8..12].copy_from_slice(&9u32.to_le_bytes()); // docs.start
         bad[12..16].copy_from_slice(&1u32.to_le_bytes()); // docs.end
-        assert!(Shard::from_bytes(&bad).is_err());
+        assert!(decode(&bad, &store).is_err());
     }
 
     #[test]
@@ -1104,7 +1053,7 @@ mod tests {
         let delta = Shard::build_from_docs(3, docs, 6, sid_start);
         assert_eq!(delta.doc_range(), batch.doc_range());
         assert_eq!(delta.sid_range(), batch.sid_range());
-        assert_eq!(delta.to_bytes(), batch.to_bytes(), "byte-identical shard");
+        assert_eq!(sections(&delta), sections(&batch), "byte-identical shard");
     }
 
     #[test]
@@ -1117,7 +1066,7 @@ mod tests {
         let first = Shard::build_from_docs(1, &c.documents()[2..5], 2, sid_start);
         let grown = Shard::build_from_docs(first.id(), &c.documents()[2..8], 2, sid_start);
         let oneshot = Shard::build_from_docs(1, &c.documents()[2..8], 2, sid_start);
-        assert_eq!(grown.to_bytes(), oneshot.to_bytes());
+        assert_eq!(sections(&grown), sections(&oneshot));
         assert_eq!(grown.num_documents(), 6);
         for doc in grown.doc_range() {
             assert_eq!(
@@ -1135,7 +1084,7 @@ mod tests {
         assert_eq!(empty.num_sentences(), 0);
         let grown = Shard::build_from_docs(empty.id(), c.documents(), 0, 0);
         let oneshot = Shard::build(0, &c, 0..3);
-        assert_eq!(grown.to_bytes(), oneshot.to_bytes());
+        assert_eq!(sections(&grown), sections(&oneshot));
     }
 
     #[test]
@@ -1169,34 +1118,45 @@ mod tests {
 
     #[test]
     fn bound_stats_codec_round_trip_and_rejects_unsorted() {
+        // The owned-copy path: a section whose hash array is not 8-aligned
+        // in its backing decodes by copying, with the same checks as the
+        // zero-copy view path.
+        let misaligned = |section: &[u8]| {
+            // Place the section one byte past an 8-aligned address.
+            let mut padded = vec![0u8; 16 + section.len()];
+            let skip = 9 - padded.as_ptr() as usize % 8;
+            padded[skip..skip + section.len()].copy_from_slice(section);
+            SharedBytes::from_vec(padded).slice(skip..skip + section.len())
+        };
         let c = corpus(5);
         let stats = ShardBoundStats::from_docs(c.documents());
-        let back = ShardBoundStats::from_bytes(&stats.to_bytes()).unwrap();
+        let back = ShardBoundStats::decode_section(misaligned(&stats.encode_section())).unwrap();
+        assert!(matches!(back.token_hashes, HashStore::Owned(_)));
         assert_eq!(back, stats);
-        // Hand-built frames with unsorted or duplicated hashes are corrupt.
-        let mut buf = bytes::BytesMut::new();
-        vec![3u64, 1, 2].encode(&mut buf);
-        assert!(ShardBoundStats::from_bytes(&buf).is_err());
-        let mut buf = bytes::BytesMut::new();
-        vec![1u64, 1].encode(&mut buf);
-        assert!(ShardBoundStats::from_bytes(&buf).is_err());
+        assert_eq!(back.encode_section(), stats.encode_section());
+        // Unsorted or duplicated hashes are corrupt.
+        for hashes in [[3u64, 1, 2].as_slice(), &[1, 1]] {
+            let mut sec = (hashes.len() as u64).to_le_bytes().to_vec();
+            sec.extend(hashes.iter().flat_map(|h| h.to_le_bytes()));
+            assert!(ShardBoundStats::decode_section(misaligned(&sec)).is_err());
+        }
     }
 
     #[test]
     fn bound_stats_stay_out_of_the_shard_frame() {
-        // Shard bytes are version-independent: stripping stats (the decode
-        // state) must not change the encoding, and decode yields None.
+        // Statistics live in their own optional sections: a shard decoded
+        // without them has none, and its meta and store sections are the
+        // same bytes as the shard that had them.
         let c = corpus(4);
         let shard = build_shards(&c, 1, 1).remove(0);
         assert!(shard.bound_stats().is_some());
         assert!(shard.block_stats().is_some());
-        let mut stripped = shard.clone();
-        stripped.set_bound_stats(None);
-        stripped.set_block_stats(None);
-        assert_eq!(shard.to_bytes(), stripped.to_bytes());
-        let back = Shard::from_bytes(&shard.to_bytes()).unwrap();
-        assert!(back.bound_stats().is_none());
-        assert!(back.block_stats().is_none());
+        let (meta, store) = sections(&shard);
+        let stripped =
+            Shard::decode_sections(&meta, SharedBytes::from_vec(store), None, None).unwrap();
+        assert!(stripped.bound_stats().is_none());
+        assert!(stripped.block_stats().is_none());
+        assert_eq!(sections(&stripped), sections(&shard));
     }
 
     #[test]
@@ -1214,7 +1174,7 @@ mod tests {
         }
         // Decoded shards rebuild the same translation from blob headers.
         for shard in &shards {
-            let back = Shard::from_bytes(&shard.to_bytes()).unwrap();
+            let back = reload(shard);
             for sid in back.sid_range() {
                 assert_eq!(back.doc_of_sid(sid), shard.doc_of_sid(sid));
             }
@@ -1225,33 +1185,14 @@ mod tests {
     }
 
     #[test]
-    fn section_decode_matches_payload_decode() {
+    fn section_decode_rejects_trailing_meta_and_miscounted_blocks() {
         let c = corpus(9);
         for shard in build_shards(&c, 3, 1) {
-            let meta = shard.encode_meta_section();
-            let store_bytes = SharedBytes::from_vec(shard.store().to_bytes());
-            let bounds = shard.bound_stats().cloned();
-            let blocks = shard.block_stats().cloned();
-            let back = Shard::decode_sections(&meta, store_bytes, bounds, blocks).unwrap();
-            assert_eq!(back.to_bytes(), shard.to_bytes(), "byte-identical");
-            assert_eq!(back.bound_stats(), shard.bound_stats());
-            assert_eq!(back.block_stats(), shard.block_stats());
-            for doc in back.doc_range() {
-                assert_eq!(
-                    back.load_document(doc).unwrap(),
-                    shard.load_document(doc).unwrap()
-                );
-            }
+            let store = || SharedBytes::from_vec(shard.store().to_bytes());
             // Trailing meta bytes are rejected.
             let mut long = shard.encode_meta_section();
             long.push(0);
-            assert!(Shard::decode_sections(
-                &long,
-                SharedBytes::from_vec(shard.store().to_bytes()),
-                None,
-                None
-            )
-            .is_err());
+            assert!(Shard::decode_sections(&long, store(), None, None).is_err());
             // A blocks section that does not cover the doc range exactly
             // is rejected (here: block stats for one doc too few).
             if shard.num_documents() > 1 {
@@ -1259,7 +1200,7 @@ mod tests {
                 let wrong = BlockBoundStats::from_docs(c.documents(), 1);
                 assert!(Shard::decode_sections(
                     &shard.encode_meta_section(),
-                    SharedBytes::from_vec(shard.store().to_bytes()),
+                    store(),
                     None,
                     Some(wrong)
                 )
@@ -1275,9 +1216,8 @@ mod tests {
         let sec = stats.encode_section();
         let back = ShardBoundStats::decode_section(SharedBytes::from_vec(sec.clone())).unwrap();
         assert_eq!(back, stats);
-        // Re-encoding a view-backed stats is identical both ways.
+        // Re-encoding a view-backed stats is identical.
         assert_eq!(back.encode_section(), sec);
-        assert_eq!(back.to_bytes(), stats.to_bytes());
         // Count disagreeing with the body length is structural.
         let mut bad = sec.clone();
         bad[0] ^= 0x01;

@@ -3,13 +3,13 @@
 //! The paper stores each hierarchy index as a closure table
 //! `PL/POS(id, label, depth, aid, alabel, adepth)` — one row per
 //! (node, ancestor-or-self) pair — and answers path lookups with self-joins.
-//! `koko-index` exports its in-memory hierarchy index here for persistence
-//! and size accounting, and the closure table can itself answer
-//! ancestor/descendant queries (tested against the in-memory index).
+//! `koko-index` exports its in-memory hierarchy index here for size
+//! accounting, and the closure table answers ancestor/descendant queries
+//! the way the paper's SQL does — the reference the in-memory index's
+//! lookups are property-tested against. It is never persisted: snapshots
+//! store the hierarchy index itself.
 
-use crate::codec::{Codec, DecodeError};
 use crate::table::MultiMap;
-use bytes::BytesMut;
 
 /// One `(node, ancestor)` row. `depth` counts from the hierarchy root.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -20,27 +20,6 @@ pub struct ClosureRow {
     pub aid: u32,
     pub alabel: u16,
     pub adepth: u16,
-}
-
-impl Codec for ClosureRow {
-    fn encode(&self, buf: &mut BytesMut) {
-        self.id.encode(buf);
-        self.label.encode(buf);
-        self.depth.encode(buf);
-        self.aid.encode(buf);
-        self.alabel.encode(buf);
-        self.adepth.encode(buf);
-    }
-    fn decode(input: &mut &[u8]) -> Result<Self, DecodeError> {
-        Ok(ClosureRow {
-            id: u32::decode(input)?,
-            label: u16::decode(input)?,
-            depth: u16::decode(input)?,
-            aid: u32::decode(input)?,
-            alabel: u16::decode(input)?,
-            adepth: u16::decode(input)?,
-        })
-    }
 }
 
 /// Encoded width of a row (6.2.1 size accounting).
@@ -119,20 +98,6 @@ impl ClosureTable {
     }
 }
 
-impl Codec for ClosureTable {
-    fn encode(&self, buf: &mut BytesMut) {
-        self.rows.encode(buf);
-    }
-    fn decode(input: &mut &[u8]) -> Result<Self, DecodeError> {
-        let rows: Vec<ClosureRow> = Vec::decode(input)?;
-        let mut t = ClosureTable::new();
-        for r in rows {
-            t.insert(r);
-        }
-        Ok(t)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -181,15 +146,6 @@ mod tests {
         assert_eq!(t.nodes_with_ancestor(30, 10, None), vec![2]);
         // nsubj(40) with dobj(20) ancestor: none.
         assert!(t.nodes_with_ancestor(40, 20, None).is_empty());
-    }
-
-    #[test]
-    fn codec_round_trip() {
-        let t = toy();
-        let bytes = t.to_bytes();
-        let back = ClosureTable::from_bytes(&bytes).unwrap();
-        assert_eq!(back.len(), t.len());
-        assert_eq!(back.nodes_with_ancestor(30, 20, Some(1)), vec![2]);
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Versioned binary serialization for the KOKO data model.
+//! Binary serialization for the KOKO data model.
 //!
 //! A small hand-rolled format (varint-free, little-endian, length-prefixed)
 //! chosen over a general-purpose serializer so decode cost is predictable —
@@ -11,12 +11,7 @@ use koko_nlp::{
 };
 use std::fmt;
 
-/// Format version written into every file header.
-pub const FORMAT_VERSION: u8 = 1;
-/// Magic bytes identifying KOKO storage files.
-pub const MAGIC: &[u8; 4] = b"KOKO";
-
-/// Decoding failure (truncation, bad tag, version mismatch).
+/// Decoding failure (truncation, bad tag, trailing bytes).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DecodeError(pub String);
 
@@ -280,9 +275,9 @@ impl Codec for EntityPosting {
     }
 }
 
-/// FNV-1a 64-bit hash — the snapshot container's payload checksum. Chosen
-/// over CRC for simplicity (no table) while still catching truncation and
-/// bit flips; collision resistance is not a goal.
+/// FNV-1a 64-bit hash — the snapshot container's section and table
+/// checksum. Chosen over CRC for simplicity (no table) while still
+/// catching truncation and bit flips; collision resistance is not a goal.
 pub fn fnv1a64(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf29ce484222325;
     for &b in bytes {
@@ -290,41 +285,6 @@ pub fn fnv1a64(bytes: &[u8]) -> u64 {
         h = h.wrapping_mul(0x100000001b3);
     }
     h
-}
-
-/// Write a value to a file with the KOKO header (magic + version).
-pub fn save_to_file<T: Codec>(path: &std::path::Path, value: &T) -> std::io::Result<()> {
-    use std::io::Write;
-    let mut buf = BytesMut::new();
-    buf.put_slice(MAGIC);
-    buf.put_u8(FORMAT_VERSION);
-    value.encode(&mut buf);
-    let mut f = std::io::BufWriter::new(std::fs::File::create(path)?);
-    f.write_all(&buf)?;
-    f.flush()
-}
-
-/// Read a value written by [`save_to_file`].
-pub fn load_from_file<T: Codec>(path: &std::path::Path) -> std::io::Result<T> {
-    let data = std::fs::read(path)?;
-    let mut input: &[u8] = &data;
-    let magic =
-        take(&mut input, 4).map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))?;
-    if magic != MAGIC {
-        return Err(std::io::Error::new(
-            std::io::ErrorKind::InvalidData,
-            "not a KOKO storage file",
-        ));
-    }
-    let version = take(&mut input, 1)
-        .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))?[0];
-    if version != FORMAT_VERSION {
-        return Err(std::io::Error::new(
-            std::io::ErrorKind::InvalidData,
-            format!("unsupported format version {version}"),
-        ));
-    }
-    T::from_bytes(input).map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))
 }
 
 #[cfg(test)]
@@ -409,21 +369,5 @@ mod tests {
     #[test]
     fn invalid_enum_tag_errors() {
         assert!(PosTag::from_bytes(&[200]).is_err());
-    }
-
-    #[test]
-    fn file_round_trip() {
-        let dir = std::env::temp_dir().join("koko_codec_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("doc.koko");
-        let p = Pipeline::new();
-        let doc = p.parse_document(3, "go Falcons!");
-        save_to_file(&path, &doc).unwrap();
-        let back: Document = load_from_file(&path).unwrap();
-        assert_eq!(back, doc);
-        // Corrupt magic.
-        std::fs::write(&path, b"NOPE\x01").unwrap();
-        assert!(load_from_file::<Document>(&path).is_err());
-        std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -9,38 +9,17 @@
 //! [`DocStore::load`] decodes the whole [`Document`] (corpus rebuilds,
 //! compaction, and queries whose clauses read the rest of the article).
 //!
-//! Each blob is either owned (built in memory, or decoded from a v1–3
-//! payload) or a [`SharedBytes`] view into a memory-mapped v4 snapshot
-//! section — in the mapped case an article's bytes stay in the page cache
-//! until a view or a load touches that one document. Both backings encode
+//! Each blob is either owned (built in memory, or decoded by copy) or a
+//! [`SharedBytes`] view into a memory-mapped snapshot section — in the
+//! mapped case an article's bytes stay in the page cache until a view or
+//! a load touches that one document. Both backings encode
 //! byte-identically, so snapshots never re-encode articles.
 
 use crate::article::ArticleView;
-use crate::codec::{self, Codec, DecodeError};
+use crate::codec::{take, Codec, DecodeError};
 use crate::view::{SharedBytes, ViewCursor};
 use bytes::BytesMut;
 use koko_nlp::Document;
-
-/// An encoded document; a newtype so the codec can copy whole byte slices
-/// instead of going element-by-element through the generic `Vec<u8>` path.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct Blob(pub Vec<u8>);
-
-impl Codec for Blob {
-    fn encode(&self, buf: &mut BytesMut) {
-        (self.0.len() as u32).encode(buf);
-        buf.extend_from_slice(&self.0);
-    }
-    fn decode(input: &mut &[u8]) -> Result<Self, DecodeError> {
-        let len = u32::decode(input)? as usize;
-        if input.len() < len {
-            return Err(DecodeError("truncated blob".into()));
-        }
-        let (head, tail) = input.split_at(len);
-        *input = tail;
-        Ok(Blob(head.to_vec()))
-    }
-}
 
 /// One encoded document's bytes: owned, or a zero-copy view into a
 /// shared (usually memory-mapped) backing. Equality is by content, so a
@@ -118,13 +97,6 @@ impl DocStore {
         Ok(self.view(idx)?.num_sentences())
     }
 
-    /// Append every blob of `other`, preserving order. Lets the sharded
-    /// engine assemble a global store from per-shard stores without paying
-    /// the encode cost twice (mapped blobs are carried by reference).
-    pub fn append_store(&mut self, other: &DocStore) {
-        self.blobs.extend(other.blobs.iter().cloned());
-    }
-
     pub fn len(&self) -> usize {
         self.blobs.len()
     }
@@ -138,19 +110,9 @@ impl DocStore {
         self.blobs.iter().map(|b| b.as_slice().len()).sum()
     }
 
-    /// Persist to a file.
-    pub fn save(&self, path: &std::path::Path) -> std::io::Result<()> {
-        codec::save_to_file(path, self)
-    }
-
-    /// Load a store persisted by [`DocStore::save`].
-    pub fn open(path: &std::path::Path) -> std::io::Result<DocStore> {
-        codec::load_from_file(path)
-    }
-
     /// Borrowed-view decode: same wire format as [`Codec::decode`], but
     /// every blob becomes a sub-view of `bytes` instead of a copy. Used
-    /// by the v4 mmap open path so article payloads stay un-faulted
+    /// by the snapshot open paths so article payloads stay un-faulted
     /// until first load.
     pub fn decode_view(bytes: SharedBytes) -> Result<DocStore, DecodeError> {
         let mut c = ViewCursor::new(bytes);
@@ -165,10 +127,10 @@ impl DocStore {
     }
 }
 
-/// A store serializes as its blob list — encoded documents are copied
-/// verbatim, so snapshot encode/decode never re-encodes articles. The
-/// wire format is identical to `Vec<Blob>` regardless of whether blobs
-/// are owned or mapped.
+/// A store serializes as its blob list — `count:u32`, then per document
+/// `len:u32` and that many bytes — copied verbatim, so snapshot
+/// encode/decode never re-encodes articles. The wire format is the same
+/// whether blobs are owned or mapped.
 impl Codec for DocStore {
     fn encode(&self, buf: &mut BytesMut) {
         (self.blobs.len() as u32).encode(buf);
@@ -179,10 +141,14 @@ impl Codec for DocStore {
         }
     }
     fn decode(input: &mut &[u8]) -> Result<Self, DecodeError> {
-        let blobs: Vec<Blob> = Vec::decode(input)?;
-        Ok(DocStore {
-            blobs: blobs.into_iter().map(|b| BlobBytes::Owned(b.0)).collect(),
-        })
+        let count = u32::decode(input)? as usize;
+        // Guard against corrupt huge counts: cap the pre-allocation.
+        let mut blobs = Vec::with_capacity(count.min(4096));
+        for _ in 0..count {
+            let len = u32::decode(input)? as usize;
+            blobs.push(BlobBytes::Owned(take(input, len)?.to_vec()));
+        }
+        Ok(DocStore { blobs })
     }
 }
 
@@ -258,6 +224,9 @@ mod tests {
 
     #[test]
     fn file_persistence() {
+        // A store persists as a snapshot's `SEC_STORE` section; reopened
+        // through the mapping, its blobs are views into the file.
+        use crate::section::{write_sectioned_file, SectionWriter, SectionedFile, SEC_STORE};
         let p = Pipeline::new();
         let mut store = DocStore::new();
         for i in 0..5 {
@@ -266,9 +235,16 @@ mod tests {
         let dir = std::env::temp_dir().join("koko_docstore_test");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("docs.koko");
-        store.save(&path).unwrap();
-        let back = DocStore::open(&path).unwrap();
+        let mut w = SectionWriter::new();
+        w.add_section(SEC_STORE, 0, &store.to_bytes());
+        write_sectioned_file(&path, &w.finish()).unwrap();
+        let sf = SectionedFile::open_mmap(&path).unwrap();
+        let bytes = sf
+            .section_bytes(&sf.require(SEC_STORE, 0).unwrap())
+            .unwrap();
+        let back = DocStore::decode_view(bytes).unwrap();
         assert_eq!(back.len(), 5);
+        assert_eq!(back, store);
         assert_eq!(back.load(3).unwrap(), store.load(3).unwrap());
         std::fs::remove_dir_all(&dir).ok();
     }

@@ -7,27 +7,27 @@
 //! query evaluation — the `LoadArticle` stage of Table 2). This crate
 //! provides the same capabilities as an embedded library:
 //!
-//! * [`codec`] — a compact, versioned binary serialization format (built on
-//!   `bytes`) for the whole data model, so article loads pay a real
+//! * [`codec`] — a compact binary serialization format (built on `bytes`)
+//!   for the whole data model, so article loads pay a real
 //!   deserialization cost like the paper's DBMS reads;
-//! * [`table`] — ordered tables with range scans and byte accounting (the
+//! * [`table`] — ordered posting-list tables with byte accounting (the
 //!   B-tree indexes every scheme in Figure 6 is charged for);
 //! * [`closure`] — the Closure Table representation of hierarchy indices
-//!   (Karwin \[25\]);
+//!   (Karwin \[25\]), kept as the reference the hierarchy lookups are
+//!   tested against;
 //! * [`docstore`] — the parsed-article store with per-document lazy decode;
 //! * [`article`] — a borrowed view of one stored article that decodes the
 //!   sentences asked for and steps over the rest;
-//! * [`db`] — a named collection of the above with directory persistence;
-//! * [`snapshot_file`] / [`section`] — the `.koko` container: payload
-//!   framing (v1–3) and the offset-indexed sectioned layout (v4);
+//! * [`snapshot_file`] / [`section`] — the `.koko` container, one format
+//!   (version 4): a 26-byte header and offset-indexed, per-section
+//!   checksummed sections — the single on-disk form of an index;
 //! * [`mmap`] / [`view`] — zero-dep memory mapping plus alignment-aware
-//!   borrowed-view decoding, so sectioned snapshots open in O(sections)
-//!   and serve fixed-width arrays straight from the page cache.
+//!   borrowed-view decoding, so snapshots open in O(sections) and serve
+//!   fixed-width arrays straight from the page cache.
 
 pub mod article;
 pub mod closure;
 pub mod codec;
-pub mod db;
 pub mod docstore;
 pub mod mmap;
 pub mod section;
@@ -38,18 +38,15 @@ pub mod view;
 pub use article::{ArticleView, SentenceCursor};
 pub use closure::{ClosureRow, ClosureTable};
 pub use codec::{Codec, DecodeError};
-pub use db::Db;
 pub use docstore::DocStore;
 pub use mmap::Mmap;
 pub use section::{
     append_sections, write_sectioned_file, SectionEntry, SectionTable, SectionWriter,
-    SectionedFile, SECTIONED_VERSION, SEC_BLOCKS, SEC_BOUNDS, SEC_EMBED, SEC_MANIFEST, SEC_ROUTER,
-    SEC_SHARD, SEC_STORE,
+    SectionedFile, SEC_BLOCKS, SEC_BOUNDS, SEC_EMBED, SEC_MANIFEST, SEC_ROUTER, SEC_SHARD,
+    SEC_STORE,
 };
 pub use snapshot_file::{
-    is_snapshot_file, read_snapshot_file, read_snapshot_file_versioned, read_snapshot_version,
-    write_snapshot_file, SnapshotFileError, MAX_PAYLOAD_SNAPSHOT_VERSION, MIN_SNAPSHOT_VERSION,
-    SNAPSHOT_HEADER_LEN, SNAPSHOT_MAGIC, SNAPSHOT_VERSION,
+    is_snapshot_file, SnapshotFileError, SNAPSHOT_HEADER_LEN, SNAPSHOT_MAGIC, SNAPSHOT_VERSION,
 };
-pub use table::{MultiMap, OrderedTable};
+pub use table::MultiMap;
 pub use view::{SharedBytes, U64View, ViewCursor};

@@ -1,10 +1,9 @@
-//! Snapshot container format v4: offset-indexed, per-section-checksummed
-//! sections behind the classic 26-byte `KOKOSNAP` header.
+//! The snapshot container's body: offset-indexed, per-section-checksummed
+//! sections behind the 26-byte `KOKOSNAP` header (format version 4, the
+//! only one).
 //!
-//! Versions 1–3 wrap one opaque payload; opening one means reading and
-//! checksumming the whole file. Version 4 replaces the payload with
-//! independent sections located by a table at the end of the file, so a
-//! reader validates the header plus table in O(sections) and pays for a
+//! Sections are located by a table at the end of the file, so a reader
+//! validates the header plus table in O(sections) and pays for a
 //! section's bytes (page faults + checksum) only when it first touches
 //! it:
 //!
@@ -19,16 +18,15 @@
 //!      …     …  section table: count (u32 LE) + count × 30-byte entries
 //! ```
 //!
-//! Offsets 10..26 are the same header slots that carry payload length +
-//! payload checksum in v1–3 — a v4 reader dispatches on the version
-//! field *before* interpreting them. Each table entry is
-//! `(kind u16, index u32, offset u64, len u64, checksum u64)` — 30
-//! bytes, packed LE. Sections always precede their table
+//! The reader checks magic and version before interpreting offsets
+//! 10..26; any version but [`SNAPSHOT_VERSION`] is refused. Each table
+//! entry is `(kind u16, index u32, offset u64, len u64, checksum u64)` —
+//! 30 bytes, packed LE. Sections always precede their table
 //! (`offset + len <= table_offset`), and every section offset is
 //! 8-aligned so fixed-width `u64` arrays inside a section can be served
 //! as zero-copy views from a page-aligned `mmap` base.
 //!
-//! **Append-on-add**: a writer extends a v4 file by writing new sections
+//! **Append-on-add**: a writer extends a file by writing new sections
 //! plus a fresh table *past the current extent* (`table_offset +
 //! table_len`), fsyncing, then atomically publishing with an in-place
 //! rewrite of the 26-byte header — the single commit point. Bytes past
@@ -38,13 +36,10 @@
 
 use crate::codec::fnv1a64;
 use crate::snapshot_file::{
-    fsync_dir, io_err, SnapshotFileError, SNAPSHOT_HEADER_LEN, SNAPSHOT_MAGIC,
+    fsync_dir, io_err, SnapshotFileError, SNAPSHOT_HEADER_LEN, SNAPSHOT_MAGIC, SNAPSHOT_VERSION,
 };
 use crate::view::SharedBytes;
 use std::path::Path;
-
-/// Container version introducing the sectioned layout.
-pub const SECTIONED_VERSION: u16 = 4;
 
 /// First possible section offset: the header rounded up to 8.
 pub const FIRST_SECTION_OFFSET: u64 = 32;
@@ -75,7 +70,7 @@ pub const SEC_BLOCKS: u16 = 7;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SectionEntry {
     /// One of the `SEC_*` kinds (unknown kinds are tolerated and skipped,
-    /// for forward-compatible additions within v4).
+    /// for forward-compatible additions within the format version).
     pub kind: u16,
     /// Disambiguates repeated kinds — the shard slot for per-shard kinds.
     pub index: u32,
@@ -107,7 +102,7 @@ impl SectionEntry {
     }
 }
 
-/// The decoded section table of a v4 file.
+/// The decoded section table of a snapshot file.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct SectionTable {
     /// Entries in file order.
@@ -142,7 +137,8 @@ fn pad8(len: u64) -> u64 {
     len.div_ceil(8) * 8
 }
 
-/// Builds the byte image of a complete v4 file in memory (full saves).
+/// Builds the byte image of a complete snapshot file in memory (full
+/// saves).
 /// Appends go through [`append_sections`] instead.
 #[derive(Debug)]
 pub struct SectionWriter {
@@ -151,7 +147,7 @@ pub struct SectionWriter {
 }
 
 impl SectionWriter {
-    /// Start a v4 image: header placeholder + padding to the first
+    /// Start an image: header placeholder + padding to the first
     /// 8-aligned section offset.
     pub fn new() -> SectionWriter {
         SectionWriter {
@@ -175,7 +171,7 @@ impl SectionWriter {
     }
 
     /// Seal the image: write the table, then fill the header (magic,
-    /// version 4, table offset, table checksum).
+    /// [`SNAPSHOT_VERSION`], table offset, table checksum).
     pub fn finish(mut self) -> Vec<u8> {
         self.buf.resize(pad8(self.buf.len() as u64) as usize, 0);
         let table_offset = self.buf.len() as u64;
@@ -186,7 +182,7 @@ impl SectionWriter {
         let table_checksum = fnv1a64(&table);
         self.buf.extend_from_slice(&table);
         self.buf[0..8].copy_from_slice(SNAPSHOT_MAGIC);
-        self.buf[8..10].copy_from_slice(&SECTIONED_VERSION.to_le_bytes());
+        self.buf[8..10].copy_from_slice(&SNAPSHOT_VERSION.to_le_bytes());
         self.buf[10..18].copy_from_slice(&table_offset.to_le_bytes());
         self.buf[18..26].copy_from_slice(&table_checksum.to_le_bytes());
         self.buf
@@ -199,7 +195,8 @@ impl Default for SectionWriter {
     }
 }
 
-/// A validated v4 container over any shared backing (mmap or owned).
+/// A validated snapshot container over any shared backing (mmap or
+/// owned).
 ///
 /// Construction cost is O(sections): header sanity, table checksum, and
 /// per-entry range/alignment invariants — section *payloads* are neither
@@ -215,7 +212,7 @@ pub struct SectionedFile {
 }
 
 impl SectionedFile {
-    /// Memory-map and validate the v4 container at `path`. The mapping is
+    /// Memory-map and validate the snapshot container at `path`. The mapping is
     /// shared by every section view handed out, so the file's pages fault
     /// in only as sections are touched.
     pub fn open_mmap(path: &Path) -> Result<SectionedFile, SnapshotFileError> {
@@ -225,7 +222,9 @@ impl SectionedFile {
         SectionedFile::open_bytes(&path.display().to_string(), backing)
     }
 
-    /// Validate `backing` as a v4 container. `path` labels errors only.
+    /// Validate `backing` as a snapshot container: magic, version, table
+    /// bounds and checksum, and every entry's range. `path` labels errors
+    /// only.
     pub fn open_bytes(
         path: &str,
         backing: SharedBytes,
@@ -243,7 +242,7 @@ impl SectionedFile {
             });
         }
         let version = u16::from_le_bytes(data[8..10].try_into().expect("sized"));
-        if version != SECTIONED_VERSION {
+        if version != SNAPSHOT_VERSION {
             return Err(SnapshotFileError::WrongVersion {
                 path: name,
                 found: version,
@@ -385,16 +384,17 @@ impl SectionedFile {
     }
 }
 
-/// Atomically publish a complete v4 image (built by
+/// Atomically publish a complete image (built by
 /// [`SectionWriter::finish`]) as the contents of `path` — the full-save
-/// counterpart of [`append_sections`], with the same durability
-/// invariant as the payload-framed writer (data fsynced before the
-/// rename, parent directory fsynced after).
+/// counterpart of [`append_sections`]. The image is staged in a sibling
+/// temp file, fsynced, renamed over `path`, and the parent directory is
+/// fsynced, so an interrupted save never destroys a good snapshot at
+/// `path`.
 pub fn write_sectioned_file(path: &Path, image: &[u8]) -> Result<(), SnapshotFileError> {
     crate::snapshot_file::atomic_publish(path, &[image])
 }
 
-/// Append `new` sections to the v4 file at `path`, carrying forward the
+/// Append `new` sections to the snapshot file at `path`, carrying forward the
 /// still-valid `keep` entries, and atomically publish by rewriting the
 /// 26-byte header in place.
 ///
@@ -466,7 +466,7 @@ pub fn append_sections(
             f.sync_all()?;
             let mut header = [0u8; SNAPSHOT_HEADER_LEN];
             header[0..8].copy_from_slice(SNAPSHOT_MAGIC);
-            header[8..10].copy_from_slice(&SECTIONED_VERSION.to_le_bytes());
+            header[8..10].copy_from_slice(&SNAPSHOT_VERSION.to_le_bytes());
             header[10..18].copy_from_slice(&table_offset.to_le_bytes());
             header[18..26].copy_from_slice(&fnv1a64(&table_bytes).to_le_bytes());
             #[cfg(unix)]
@@ -485,7 +485,9 @@ pub fn append_sections(
             // the directory entry (a fresh file that was never fsync-ed at
             // the directory level can vanish wholesale on power loss).
             f.sync_all()?;
-            if let Some(parent) = path.parent() {
+            // A bare file name has an empty parent: the current directory,
+            // which `fsync_dir` cannot open by that name.
+            if let Some(parent) = path.parent().filter(|p| !p.as_os_str().is_empty()) {
                 fsync_dir(parent)?;
             }
             Ok((header, table))

@@ -1,65 +1,42 @@
-//! The `.koko` snapshot container: framing for build-once / query-many
+//! The `.koko` snapshot container: the header, the error taxonomy and
+//! the atomic publish shared by every writer of build-once / query-many
 //! index files.
 //!
-//! Every container starts with the same self-describing, checksummed
-//! 26-byte header:
+//! Every container starts with the same self-describing 26-byte header:
 //!
 //! ```text
 //! offset  size  field
 //! ------  ----  -----------------------------------------------
 //!      0     8  magic  b"KOKOSNAP"
-//!      8     2  format version (u16 LE)
-//!     10     8  versions 1–3: payload length in bytes (u64 LE)
-//!               version 4:    section-table offset (u64 LE)
-//!     18     8  versions 1–3: FNV-1a 64 checksum of the payload
-//!               version 4:    FNV-1a 64 checksum of the table bytes
-//!     26     …  versions 1–3: the payload
-//!               version 4:    8-aligned sections + section table
+//!      8     2  format version (u16 LE) = 4
+//!     10     8  section-table offset (u64 LE)
+//!     18     8  FNV-1a 64 checksum of the section table (u64 LE)
+//!     26     …  8-aligned sections + section table
 //! ```
 //!
-//! Versions 1–3 ("payload-framed") wrap one opaque payload — the
-//! engine's serialized `Snapshot` body, encoded by `koko-core` — and are
-//! read whole by [`read_snapshot_file_versioned`]. Version 4 replaces
-//! the payload with offset-indexed, independently-checksummed sections
-//! (see [`crate::section`]) so opening is O(sections) and payload bytes
-//! are verified per-touch; a reader dispatches on the version field
-//! *before* interpreting header offsets 10..26.
+//! The sections and their table are specified in [`crate::section`],
+//! which reads and writes the one format; any other version number is
+//! refused with [`SnapshotFileError::WrongVersion`].
 //!
-//! The magic is distinct from the 4-byte `b"KOKO"` header of plain
-//! [`codec`](crate::codec) value files, so callers (notably the CLI) can
-//! tell a snapshot from a raw corpus or a single persisted value by
-//! sniffing the first 8 bytes — see [`is_snapshot_file`].
+//! The magic lets callers (notably the CLI) tell a snapshot from a raw
+//! text corpus by sniffing the first 8 bytes — see [`is_snapshot_file`].
 //!
 //! Every way a file can be unusable maps to a distinct
 //! [`SnapshotFileError`] variant naming the offending path, so the CLI can
 //! print an actionable message instead of panicking on corrupt input.
 
-use crate::codec::fnv1a64;
 use std::fmt;
 use std::io::Read;
 use std::path::Path;
 
 /// Magic bytes opening every `.koko` snapshot file.
 pub const SNAPSHOT_MAGIC: &[u8; 8] = b"KOKOSNAP";
-/// Snapshot container format version written by this build. Bump on any
-/// layout change to the header *or* the payload encoding. Version 2 added
-/// the generational manifest (generation counter + base/delta shard
-/// split) for live incremental indices; version 3 added the per-shard
-/// score-bound statistics section behind ranked top-k pruning (absent in
-/// older files, which load with conservative bounds); version 4 replaced
-/// the single payload with offset-indexed sections for O(1) mmap opens
-/// and append-on-add (see [`crate::section`]).
+/// The snapshot container format version — the only one this build
+/// reads or writes. Version 4 is the offset-indexed sectioned layout of
+/// [`crate::section`]; bump on any change to the header or to a
+/// section's encoding.
 pub const SNAPSHOT_VERSION: u16 = 4;
-/// Newest *payload-framed* container version. Versions up to this one
-/// carry a single length-prefixed, whole-file-checksummed payload and go
-/// through [`read_snapshot_file_versioned`] / [`write_snapshot_file`];
-/// later versions are sectioned and go through [`crate::section`].
-pub const MAX_PAYLOAD_SNAPSHOT_VERSION: u16 = 3;
-/// Oldest container version this build still reads. Version-1 files (the
-/// pre-live, purely static format) load as generation 1 with every shard
-/// treated as base.
-pub const MIN_SNAPSHOT_VERSION: u16 = 1;
-/// Bytes before the payload: magic + version + length + checksum.
+/// Header bytes: magic + version + table offset + table checksum.
 pub const SNAPSHOT_HEADER_LEN: usize = 8 + 2 + 8 + 8;
 
 /// Everything that can make a snapshot file unusable. Each variant names
@@ -70,30 +47,21 @@ pub enum SnapshotFileError {
     Io { path: String, error: String },
     /// The file exists but does not start with [`SNAPSHOT_MAGIC`].
     NotASnapshot { path: String },
-    /// The container version is outside the supported window.
+    /// The container version is not [`SNAPSHOT_VERSION`].
     WrongVersion { path: String, found: u16 },
-    /// The file ends before the header or the declared payload length.
+    /// The file ends before the header or the section table it declares.
     Truncated {
         path: String,
         expected: u64,
         found: u64,
     },
-    /// The file continues past the declared payload length. A
-    /// payload-framed container's extent is exactly `header + length`;
-    /// extra bytes mean a torn rewrite or foreign data appended to the
-    /// file, neither of which this frame can represent — reject rather
-    /// than silently drop them.
-    TrailingBytes {
-        path: String,
-        declared: u64,
-        actual: u64,
-    },
-    /// A declared length does not fit this target's address space
-    /// (`usize`), e.g. a >4 GiB payload on a 32-bit build.
+    /// A declared offset or length does not fit this target's address
+    /// space (`usize`), e.g. a >4 GiB section on a 32-bit build.
     TooLarge { path: String, declared: u64 },
-    /// The payload checksum does not match the header.
+    /// The section table's or a section's checksum does not match.
     ChecksumMismatch { path: String },
-    /// The payload frame is intact but its contents failed to decode.
+    /// The container is intact but its contents failed to decode or
+    /// contradict each other.
     Corrupt { path: String, detail: String },
 }
 
@@ -105,7 +73,6 @@ impl SnapshotFileError {
             | SnapshotFileError::NotASnapshot { path }
             | SnapshotFileError::WrongVersion { path, .. }
             | SnapshotFileError::Truncated { path, .. }
-            | SnapshotFileError::TrailingBytes { path, .. }
             | SnapshotFileError::TooLarge { path, .. }
             | SnapshotFileError::ChecksumMismatch { path }
             | SnapshotFileError::Corrupt { path, .. } => path,
@@ -122,7 +89,7 @@ impl fmt::Display for SnapshotFileError {
             }
             SnapshotFileError::WrongVersion { path, found } => write!(
                 f,
-                "{path}: unsupported snapshot format version {found} (this build reads versions {MIN_SNAPSHOT_VERSION} through {SNAPSHOT_VERSION}; rebuild the snapshot with `koko build`)"
+                "{path}: unsupported snapshot format version {found} (this build reads version {SNAPSHOT_VERSION} only; rebuild the snapshot with `koko build`)"
             ),
             SnapshotFileError::Truncated {
                 path,
@@ -130,26 +97,17 @@ impl fmt::Display for SnapshotFileError {
                 found,
             } => write!(
                 f,
-                "{path}: truncated snapshot ({found} of {expected} payload bytes present)"
-            ),
-            SnapshotFileError::TrailingBytes {
-                path,
-                declared,
-                actual,
-            } => write!(
-                f,
-                "{path}: {} bytes of trailing data past the declared {declared}-byte payload (file is damaged or was appended to)",
-                actual - declared
+                "{path}: truncated snapshot ({found} of {expected} bytes present)"
             ),
             SnapshotFileError::TooLarge { path, declared } => write!(
                 f,
                 "{path}: declared size {declared} exceeds this platform's address space"
             ),
             SnapshotFileError::ChecksumMismatch { path } => {
-                write!(f, "{path}: snapshot payload checksum mismatch (file is corrupt)")
+                write!(f, "{path}: snapshot checksum mismatch (file is corrupt)")
             }
             SnapshotFileError::Corrupt { path, detail } => {
-                write!(f, "{path}: corrupt snapshot payload: {detail}")
+                write!(f, "{path}: corrupt snapshot: {detail}")
             }
         }
     }
@@ -186,8 +144,8 @@ pub(crate) fn fsync_dir(_dir: &Path) -> std::io::Result<()> {
 /// entry are on stable storage — the data is fsynced before the rename
 /// (so a crash can't install a hole where a good file was) and the
 /// parent directory is fsynced after it (so the rename itself survives
-/// power loss). Shared by the payload-framed writer and the v4 section
-/// writer.
+/// power loss). The full-save path of [`crate::section`]
+/// ([`crate::section::write_sectioned_file`]).
 pub(crate) fn atomic_publish(path: &Path, parts: &[&[u8]]) -> Result<(), SnapshotFileError> {
     use std::io::Write;
     // Temp name: full destination file name + pid + per-call counter, so
@@ -225,144 +183,6 @@ pub(crate) fn atomic_publish(path: &Path, parts: &[&[u8]]) -> Result<(), Snapsho
     })
 }
 
-/// Write `payload` to `path` wrapped in the payload-framed snapshot
-/// header (version [`MAX_PAYLOAD_SNAPSHOT_VERSION`] — the sectioned v4
-/// format is written by [`crate::section::SectionWriter`] instead).
-///
-/// The write goes to a sibling temp file first and is renamed into place,
-/// so an interrupted save (crash, full disk) never destroys an existing
-/// good snapshot at `path` — rebuilds stay atomic on one filesystem. See
-/// `atomic_publish` for the durability invariant.
-pub fn write_snapshot_file(path: &Path, payload: &[u8]) -> Result<(), SnapshotFileError> {
-    let mut header = Vec::with_capacity(SNAPSHOT_HEADER_LEN);
-    header.extend_from_slice(SNAPSHOT_MAGIC);
-    header.extend_from_slice(&MAX_PAYLOAD_SNAPSHOT_VERSION.to_le_bytes());
-    header.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-    header.extend_from_slice(&fnv1a64(payload).to_le_bytes());
-    atomic_publish(path, &[&header, payload])
-}
-
-/// [`read_snapshot_file`] discarding the version tag, for callers whose
-/// payload layout never changed across the supported container versions.
-pub fn read_snapshot_file(path: &Path) -> Result<Vec<u8>, SnapshotFileError> {
-    read_snapshot_file_versioned(path).map(|(_, payload)| payload)
-}
-
-/// Sniff a snapshot's container version without reading its body: checks
-/// the magic and that the version is in the supported window, returning
-/// it so the caller can route payload-framed files to
-/// [`read_snapshot_file_versioned`] and v4 files to [`crate::section`].
-pub fn read_snapshot_version(path: &Path) -> Result<u16, SnapshotFileError> {
-    let name = path.display().to_string();
-    let mut f = std::fs::File::open(path).map_err(|e| io_err(path, e))?;
-    let mut head = [0u8; 10];
-    let mut got = 0;
-    while got < head.len() {
-        match f.read(&mut head[got..]).map_err(|e| io_err(path, e))? {
-            0 => break,
-            n => got += n,
-        }
-    }
-    if got < 8 || &head[..8] != SNAPSHOT_MAGIC {
-        return Err(SnapshotFileError::NotASnapshot { path: name });
-    }
-    if got < 10 {
-        return Err(SnapshotFileError::Truncated {
-            path: name,
-            expected: SNAPSHOT_HEADER_LEN as u64,
-            found: got as u64,
-        });
-    }
-    let version = u16::from_le_bytes(head[8..10].try_into().expect("sized"));
-    if !(MIN_SNAPSHOT_VERSION..=SNAPSHOT_VERSION).contains(&version) {
-        return Err(SnapshotFileError::WrongVersion {
-            path: name,
-            found: version,
-        });
-    }
-    Ok(version)
-}
-
-/// Read and verify a payload-framed snapshot file, returning the
-/// container version it was written with (any of
-/// `MIN_SNAPSHOT_VERSION..=MAX_PAYLOAD_SNAPSHOT_VERSION`) plus its
-/// payload. Checks (in order): readability, magic, version, declared
-/// length (truncation *and* trailing bytes are both rejected — the frame
-/// must cover the file exactly), checksum — each failure is its own
-/// [`SnapshotFileError`] variant. The payload *decoder* dispatches on
-/// the returned version. Sectioned (v4) files have no single payload
-/// frame and are reported as [`SnapshotFileError::Corrupt`] here; route
-/// them through [`crate::section::SectionedFile`] instead (see
-/// [`read_snapshot_version`]).
-pub fn read_snapshot_file_versioned(path: &Path) -> Result<(u16, Vec<u8>), SnapshotFileError> {
-    let name = path.display().to_string();
-    let mut data = std::fs::read(path).map_err(|e| io_err(path, e))?;
-    if data.len() < 8 || &data[..8] != SNAPSHOT_MAGIC {
-        // A too-short file can't even hold the magic: not a snapshot.
-        return Err(SnapshotFileError::NotASnapshot { path: name });
-    }
-    if data.len() < SNAPSHOT_HEADER_LEN {
-        return Err(SnapshotFileError::Truncated {
-            path: name,
-            expected: SNAPSHOT_HEADER_LEN as u64,
-            found: data.len() as u64,
-        });
-    }
-    let version = u16::from_le_bytes(data[8..10].try_into().expect("sized"));
-    if !(MIN_SNAPSHOT_VERSION..=SNAPSHOT_VERSION).contains(&version) {
-        return Err(SnapshotFileError::WrongVersion {
-            path: name,
-            found: version,
-        });
-    }
-    if version > MAX_PAYLOAD_SNAPSHOT_VERSION {
-        // Supported container, wrong framing: v4 headers carry a table
-        // offset where v1–3 carry a payload length.
-        return Err(SnapshotFileError::Corrupt {
-            path: name,
-            detail: format!(
-                "version {version} snapshots are section-indexed and have no payload frame; open through the section reader"
-            ),
-        });
-    }
-    let len = u64::from_le_bytes(data[10..18].try_into().expect("sized"));
-    let checksum = u64::from_le_bytes(data[18..26].try_into().expect("sized"));
-    let available = (data.len() - SNAPSHOT_HEADER_LEN) as u64;
-    if available < len {
-        return Err(SnapshotFileError::Truncated {
-            path: name,
-            expected: len,
-            found: available,
-        });
-    }
-    if available > len {
-        // Bytes past the declared payload used to be silently dropped,
-        // which masked torn rewrites; the frame must cover the file
-        // exactly. (The sectioned v4 format tolerates a tail by design —
-        // there it's an aborted append below the commit point.)
-        return Err(SnapshotFileError::TrailingBytes {
-            path: name,
-            declared: len,
-            actual: available,
-        });
-    }
-    // `len` fits in memory on this target or the file couldn't have been
-    // read — but check explicitly rather than `as`-cast: on a 32-bit
-    // target a >4 GiB declared length would wrap and frame garbage.
-    let len_usize = usize::try_from(len).map_err(|_| SnapshotFileError::TooLarge {
-        path: name.clone(),
-        declared: len,
-    })?;
-    // Strip the header in place — the payload can be large and the file
-    // buffer is already in memory, so no second copy.
-    debug_assert_eq!(data.len(), SNAPSHOT_HEADER_LEN + len_usize);
-    data.drain(..SNAPSHOT_HEADER_LEN);
-    if fnv1a64(&data) != checksum {
-        return Err(SnapshotFileError::ChecksumMismatch { path: name });
-    }
-    Ok((version, data))
-}
-
 /// Sniff the first 8 bytes of `path`: `true` iff they are
 /// [`SNAPSHOT_MAGIC`]. Unreadable / short files are simply `false` — the
 /// caller will then treat the path as raw text and surface read errors on
@@ -378,6 +198,7 @@ pub fn is_snapshot_file(path: &Path) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::section::{write_sectioned_file, SectionWriter, SectionedFile, SEC_MANIFEST};
 
     fn tmp(name: &str) -> std::path::PathBuf {
         let dir = std::env::temp_dir().join("koko_snapshot_file_test");
@@ -385,17 +206,26 @@ mod tests {
         dir.join(name)
     }
 
+    fn image(payload: &[u8]) -> Vec<u8> {
+        let mut w = SectionWriter::new();
+        w.add_section(SEC_MANIFEST, 0, payload);
+        w.finish()
+    }
+
+    fn section_of(path: &std::path::Path) -> Result<Vec<u8>, SnapshotFileError> {
+        let sf = SectionedFile::open_mmap(path)?;
+        let entry = sf.require(SEC_MANIFEST, 0)?;
+        Ok(sf.section_bytes(&entry)?.as_slice().to_vec())
+    }
+
     #[test]
     fn round_trip() {
         let path = tmp("ok.koko");
-        let payload = b"hello snapshot payload".to_vec();
-        write_snapshot_file(&path, &payload).unwrap();
+        write_sectioned_file(&path, &image(b"hello snapshot section")).unwrap();
         assert!(is_snapshot_file(&path));
-        assert_eq!(read_snapshot_file(&path).unwrap(), payload);
-        assert_eq!(
-            read_snapshot_version(&path).unwrap(),
-            MAX_PAYLOAD_SNAPSHOT_VERSION
-        );
+        assert_eq!(section_of(&path).unwrap(), b"hello snapshot section");
+        let data = std::fs::read(&path).unwrap();
+        assert_eq!(&data[8..10], &SNAPSHOT_VERSION.to_le_bytes());
     }
 
     #[test]
@@ -405,9 +235,9 @@ mod tests {
         let dir = tmp("atomic_subdir");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("rewrite.koko");
-        write_snapshot_file(&path, b"first generation").unwrap();
-        write_snapshot_file(&path, b"second generation").unwrap();
-        assert_eq!(read_snapshot_file(&path).unwrap(), b"second generation");
+        write_sectioned_file(&path, &image(b"first generation")).unwrap();
+        write_sectioned_file(&path, &image(b"second generation")).unwrap();
+        assert_eq!(section_of(&path).unwrap(), b"second generation");
         let leftovers: Vec<_> = std::fs::read_dir(&dir)
             .unwrap()
             .filter_map(|e| e.ok())
@@ -418,16 +248,9 @@ mod tests {
         // cleans up after itself.
         let gone = tmp("no_such_dir").join("x.koko");
         assert!(matches!(
-            write_snapshot_file(&gone, b"payload"),
+            write_sectioned_file(&gone, &image(b"section")),
             Err(SnapshotFileError::Io { .. })
         ));
-    }
-
-    #[test]
-    fn empty_payload_round_trips() {
-        let path = tmp("empty.koko");
-        write_snapshot_file(&path, &[]).unwrap();
-        assert_eq!(read_snapshot_file(&path).unwrap(), Vec::<u8>::new());
     }
 
     #[test]
@@ -435,14 +258,22 @@ mod tests {
         let path = tmp("does_not_exist.koko");
         std::fs::remove_file(&path).ok();
         assert!(matches!(
-            read_snapshot_file(&path),
-            Err(SnapshotFileError::Io { .. })
-        ));
-        assert!(matches!(
-            read_snapshot_version(&path),
+            SectionedFile::open_mmap(&path),
             Err(SnapshotFileError::Io { .. })
         ));
         assert!(!is_snapshot_file(&path));
+        // Publishing into a missing parent directory is an Io error that
+        // names the destination, and leaves nothing behind.
+        let dir = tmp("missing_parent");
+        std::fs::remove_dir_all(&dir).ok();
+        let dest = dir.join("x.koko");
+        match write_sectioned_file(&dest, &image(b"section")) {
+            Err(SnapshotFileError::Io { path, .. }) => {
+                assert_eq!(path, dest.display().to_string());
+            }
+            other => panic!("expected Io, got {other:?}"),
+        }
+        assert!(!dir.exists());
     }
 
     #[test]
@@ -450,84 +281,45 @@ mod tests {
         let path = tmp("text.koko");
         std::fs::write(&path, "just a text corpus line\n").unwrap();
         assert!(!is_snapshot_file(&path));
-        let err = read_snapshot_file(&path).unwrap_err();
+        let err = SectionedFile::open_mmap(&path).unwrap_err();
         assert!(matches!(err, SnapshotFileError::NotASnapshot { .. }));
         assert!(err.to_string().contains("text.koko"), "{err}");
-        assert!(matches!(
-            read_snapshot_version(&path),
-            Err(SnapshotFileError::NotASnapshot { .. })
-        ));
     }
 
     #[test]
     fn wrong_version_is_rejected_with_both_versions_named() {
         let path = tmp("future.koko");
-        write_snapshot_file(&path, b"payload").unwrap();
-        let mut data = std::fs::read(&path).unwrap();
-        data[8..10].copy_from_slice(&99u16.to_le_bytes());
-        std::fs::write(&path, &data).unwrap();
-        let err = read_snapshot_file(&path).unwrap_err();
-        assert_eq!(
-            err,
-            SnapshotFileError::WrongVersion {
-                path: path.display().to_string(),
-                found: 99
-            }
-        );
-        let msg = err.to_string();
-        assert!(msg.contains("99") && msg.contains('1'), "{msg}");
-        assert!(matches!(
-            read_snapshot_version(&path),
-            Err(SnapshotFileError::WrongVersion { found: 99, .. })
-        ));
-    }
-
-    #[test]
-    fn every_payload_framed_version_is_readable_and_reported() {
-        let path = tmp("window.koko");
-        write_snapshot_file(&path, b"payload").unwrap();
-        let written = std::fs::read(&path).unwrap();
-        for v in MIN_SNAPSHOT_VERSION..=MAX_PAYLOAD_SNAPSHOT_VERSION {
-            let mut data = written.clone();
-            data[8..10].copy_from_slice(&v.to_le_bytes());
+        let mut data = image(b"section");
+        for found in [0u16, 1, 2, 3, 5, 99] {
+            data[8..10].copy_from_slice(&found.to_le_bytes());
             std::fs::write(&path, &data).unwrap();
-            let (version, payload) = read_snapshot_file_versioned(&path).unwrap();
-            assert_eq!(version, v);
-            assert_eq!(payload, b"payload");
-            assert_eq!(read_snapshot_version(&path).unwrap(), v);
-        }
-        // A sectioned (v4) stamp over a payload frame is a supported
-        // *version* (read_snapshot_version accepts it) but not a payload
-        // frame — the payload reader rejects it with a pointer to the
-        // section reader instead of misreading the header.
-        let mut data = written.clone();
-        data[8..10].copy_from_slice(&SNAPSHOT_VERSION.to_le_bytes());
-        std::fs::write(&path, &data).unwrap();
-        assert_eq!(read_snapshot_version(&path).unwrap(), SNAPSHOT_VERSION);
-        assert!(matches!(
-            read_snapshot_file_versioned(&path),
-            Err(SnapshotFileError::Corrupt { .. })
-        ));
-        // One past each end of the window is rejected outright.
-        for v in [MIN_SNAPSHOT_VERSION - 1, SNAPSHOT_VERSION + 1] {
-            let mut data = written.clone();
-            data[8..10].copy_from_slice(&v.to_le_bytes());
-            std::fs::write(&path, &data).unwrap();
-            assert!(matches!(
-                read_snapshot_file_versioned(&path),
-                Err(SnapshotFileError::WrongVersion { found, .. }) if found == v
-            ));
+            let err = SectionedFile::open_mmap(&path).unwrap_err();
+            assert_eq!(
+                err,
+                SnapshotFileError::WrongVersion {
+                    path: path.display().to_string(),
+                    found
+                }
+            );
+            let msg = err.to_string();
+            assert!(
+                msg.contains(&format!("version {found} "))
+                    && msg.contains("reads version 4 only")
+                    && msg.contains("koko build"),
+                "{msg}"
+            );
         }
     }
 
     #[test]
     fn truncation_is_detected_at_every_cut() {
+        // The section table is the last thing in a file, so every cut
+        // past the magic loses (part of) the header or the table.
         let path = tmp("cut.koko");
-        write_snapshot_file(&path, b"0123456789").unwrap();
-        let full = std::fs::read(&path).unwrap();
+        let full = image(b"0123456789");
         for cut in 8..full.len() {
             std::fs::write(&path, &full[..cut]).unwrap();
-            let err = read_snapshot_file(&path).unwrap_err();
+            let err = SectionedFile::open_mmap(&path).unwrap_err();
             assert!(
                 matches!(err, SnapshotFileError::Truncated { .. }),
                 "cut at {cut}: {err:?}"
@@ -537,62 +329,35 @@ mod tests {
 
     #[test]
     fn payload_corruption_fails_the_checksum() {
+        // A flipped section byte passes open (payloads are unread) and
+        // fails the section's own checksum on first touch.
         let path = tmp("flip.koko");
-        write_snapshot_file(&path, b"some payload bytes").unwrap();
-        let mut data = std::fs::read(&path).unwrap();
-        let last = data.len() - 1;
-        data[last] ^= 0xFF;
+        let mut data = image(b"some section bytes");
+        data[crate::section::FIRST_SECTION_OFFSET as usize] ^= 0xFF;
         std::fs::write(&path, &data).unwrap();
         assert!(matches!(
-            read_snapshot_file(&path),
+            section_of(&path),
             Err(SnapshotFileError::ChecksumMismatch { .. })
         ));
     }
 
     #[test]
-    fn trailing_bytes_beyond_declared_length_are_rejected() {
-        // Regression: these used to be silently truncated away, which
-        // masked torn rewrites (and would mask aborted v4-style appends
-        // routed to the wrong reader). The frame must cover the file
-        // exactly.
-        let path = tmp("tail.koko");
-        write_snapshot_file(&path, b"payload").unwrap();
-        let mut data = std::fs::read(&path).unwrap();
-        data.extend_from_slice(b"garbage");
-        std::fs::write(&path, &data).unwrap();
-        let err = read_snapshot_file(&path).unwrap_err();
-        assert_eq!(
-            err,
-            SnapshotFileError::TrailingBytes {
-                path: path.display().to_string(),
-                declared: 7,
-                actual: 14,
-            }
-        );
-        assert!(
-            err.to_string().contains("7 bytes of trailing data"),
-            "{err}"
-        );
-    }
-
-    #[test]
     fn declared_length_past_address_space_is_structured_not_wrapping() {
-        // A 64-bit declared length that can't fit in usize must report
-        // TooLarge, never wrap in an `as` cast. On 64-bit targets the
-        // huge length is caught earlier as Truncated (the bytes aren't
-        // there); both ways the error is structured.
+        // A table offset near u64::MAX must report a structured error,
+        // never wrap in an `as` cast and index out of bounds.
         let path = tmp("huge.koko");
-        write_snapshot_file(&path, b"small").unwrap();
-        let mut data = std::fs::read(&path).unwrap();
-        data[10..18].copy_from_slice(&(u64::MAX - 7).to_le_bytes());
-        std::fs::write(&path, &data).unwrap();
-        let err = read_snapshot_file(&path).unwrap_err();
-        assert!(
-            matches!(
-                err,
-                SnapshotFileError::Truncated { .. } | SnapshotFileError::TooLarge { .. }
-            ),
-            "{err:?}"
-        );
+        let mut data = image(b"small");
+        for offset in [u64::MAX - 7, u64::MAX - 15, 1 << 62] {
+            data[10..18].copy_from_slice(&offset.to_le_bytes());
+            std::fs::write(&path, &data).unwrap();
+            let err = SectionedFile::open_mmap(&path).unwrap_err();
+            assert!(
+                matches!(
+                    err,
+                    SnapshotFileError::Truncated { .. } | SnapshotFileError::TooLarge { .. }
+                ),
+                "offset {offset}: {err:?}"
+            );
+        }
     }
 }

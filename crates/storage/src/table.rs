@@ -1,68 +1,10 @@
-//! Ordered tables: the B-tree-indexed relations every indexing scheme in
-//! §6.2.1 stores its postings in, with byte accounting for the Figure 6(b)
-//! index-size comparison.
+//! Ordered posting-list tables: the B-tree-indexed relations every
+//! indexing scheme in §6.2.1 stores its postings in, with byte accounting
+//! for the Figure 6(b) index-size comparison.
 
 use crate::codec::{Codec, DecodeError};
 use bytes::BytesMut;
 use std::collections::BTreeMap;
-use std::ops::RangeBounds;
-
-/// An ordered single-value table (unique key → value), modelling a relation
-/// with a B-tree primary index.
-#[derive(Debug, Clone, Default)]
-pub struct OrderedTable<K: Ord + Clone, V> {
-    map: BTreeMap<K, V>,
-    approx_bytes: usize,
-}
-
-impl<K: Ord + Clone, V> OrderedTable<K, V> {
-    pub fn new() -> Self {
-        OrderedTable {
-            map: BTreeMap::new(),
-            approx_bytes: 0,
-        }
-    }
-
-    /// Insert, accounting `entry_bytes` toward the table footprint (callers
-    /// know their row encoding width; see `koko-index`).
-    pub fn insert_sized(&mut self, key: K, value: V, entry_bytes: usize) -> Option<V> {
-        let old = self.map.insert(key, value);
-        if old.is_none() {
-            self.approx_bytes += entry_bytes;
-        }
-        old
-    }
-
-    pub fn get(&self, key: &K) -> Option<&V> {
-        self.map.get(key)
-    }
-
-    pub fn get_mut(&mut self, key: &K) -> Option<&mut V> {
-        self.map.get_mut(key)
-    }
-
-    pub fn range<R: RangeBounds<K>>(&self, range: R) -> impl Iterator<Item = (&K, &V)> {
-        self.map.range(range)
-    }
-
-    pub fn iter(&self) -> impl Iterator<Item = (&K, &V)> {
-        self.map.iter()
-    }
-
-    pub fn len(&self) -> usize {
-        self.map.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
-    }
-
-    /// Approximate on-disk footprint in bytes (payload + per-entry B-tree
-    /// overhead).
-    pub fn approx_bytes(&self) -> usize {
-        self.approx_bytes + self.map.len() * BTREE_ENTRY_OVERHEAD
-    }
-}
 
 /// Charged per B-tree entry: key slot + child pointers amortized, the same
 /// constant for every indexing scheme so comparisons stay fair.
@@ -157,30 +99,6 @@ impl<K: Ord + Clone + Codec, V: Codec> Codec for MultiMap<K, V> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn ordered_table_basics() {
-        let mut t: OrderedTable<u32, String> = OrderedTable::new();
-        assert!(t.is_empty());
-        t.insert_sized(2, "b".into(), 10);
-        t.insert_sized(1, "a".into(), 10);
-        t.insert_sized(3, "c".into(), 10);
-        assert_eq!(t.len(), 3);
-        assert_eq!(t.get(&2), Some(&"b".to_string()));
-        let keys: Vec<u32> = t.range(1..3).map(|(k, _)| *k).collect();
-        assert_eq!(keys, vec![1, 2]);
-        assert!(t.approx_bytes() >= 30);
-    }
-
-    #[test]
-    fn overwrite_does_not_double_count() {
-        let mut t: OrderedTable<u32, u32> = OrderedTable::new();
-        t.insert_sized(1, 10, 100);
-        let before = t.approx_bytes();
-        t.insert_sized(1, 20, 100);
-        assert_eq!(t.approx_bytes(), before);
-        assert_eq!(t.get(&1), Some(&20));
-    }
 
     #[test]
     fn multimap_posting_lists() {

@@ -16,8 +16,8 @@
 //!   dependency parser, NER, clause decomposition);
 //! * [`regex`] — the regular-expression engine used by query conditions;
 //! * [`embed`] — paraphrase embeddings + descriptor expansion;
-//! * [`storage`] — the embedded store (codec, tables, closure tables,
-//!   document store, the `.koko` snapshot container);
+//! * [`storage`] — the embedded store (codec, posting-list tables,
+//!   closure tables, document store, the `.koko` snapshot container);
 //! * [`index`] — the KOKO multi-index and the three §6.2 baselines;
 //! * [`lang`] — the query language (lexer/parser/AST/normalizer);
 //! * [`core`] — the sharded evaluation engine (Snapshot, parallel

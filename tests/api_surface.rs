@@ -219,11 +219,6 @@ fn snapshot_file_errors_cover_the_hostile_input_taxonomy() {
             expected: 2,
             found: 1,
         },
-        SnapshotFileError::TrailingBytes {
-            path: "x".into(),
-            declared: 1,
-            actual: 2,
-        },
         SnapshotFileError::TooLarge {
             path: "x".into(),
             declared: u64::MAX,

@@ -369,6 +369,73 @@ fn truncated_snapshot_is_a_clean_error() {
 }
 
 #[test]
+fn add_to_a_snapshot_named_relative_to_the_working_directory() {
+    // A bare file name has an empty parent directory; the append's
+    // directory fsync must treat it as the working directory instead of
+    // failing after the append has already been committed.
+    let dir = std::env::temp_dir().join(format!("cli_add_relative_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    std::fs::write(dir.join("more.txt"), "Vera Alys was born in 1911.\n").unwrap();
+    let run = |args: &[&str]| {
+        let out = Command::new(env!("CARGO_BIN_EXE_koko"))
+            .args(args)
+            .current_dir(&dir)
+            .output()
+            .expect("koko binary runs");
+        let stderr = String::from_utf8_lossy(&out.stderr).into_owned();
+        assert_eq!(out.status.code(), Some(0), "{args:?}: {stderr}");
+        String::from_utf8_lossy(&out.stdout).into_owned()
+    };
+    run(&["build", &fixture(), "-o", "rel.koko", "--shards=1"]);
+    let before = run(&["stats", "rel.koko"]);
+    run(&["add", "rel.koko", "more.txt"]);
+    let after = run(&["stats", "rel.koko"]);
+    let docs = |stats: &str| -> usize {
+        let line = stats.lines().find(|l| l.starts_with("documents:")).unwrap();
+        line["documents:".len()..].trim().parse().unwrap()
+    };
+    assert_eq!(docs(&after), docs(&before) + 1, "{after}");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn other_format_versions_are_refused_with_a_rebuild_hint() {
+    let dir = std::env::temp_dir();
+    let snap = dir.join(format!("cli_golden_version_{}.koko", std::process::id()));
+    let snap_str = snap.display().to_string();
+    let (_, stderr, code) = koko(&["build", &fixture(), "-o", &snap_str, "--shards=1"]);
+    assert_eq!(code, 0, "{stderr}");
+
+    let bytes = std::fs::read(&snap).unwrap();
+    for version in [1u16, 2, 3, 5] {
+        let mut restamped = bytes.clone();
+        restamped[8..10].copy_from_slice(&version.to_le_bytes());
+        std::fs::write(&snap, &restamped).unwrap();
+        for eager in [false, true] {
+            let mut args = vec!["query", &snap_str, EXAMPLE_2_1];
+            if eager {
+                args.push("--eager");
+            }
+            let (stdout, stderr, code) = koko(&args);
+            assert_eq!(code, 1, "v{version} eager={eager}: {stderr}");
+            assert_eq!(stdout, "", "v{version} eager={eager}");
+            for needle in [
+                snap_str.as_str(),
+                &format!("version {version} "),
+                "reads version 4 only",
+                "koko build",
+            ] {
+                assert!(
+                    stderr.contains(needle),
+                    "v{version} eager={eager}: missing {needle:?} in {stderr}"
+                );
+            }
+        }
+    }
+    std::fs::remove_file(&snap).ok();
+}
+
+#[test]
 fn magic_bytes_alone_are_not_a_snapshot() {
     let dir = std::env::temp_dir();
     let snap = dir.join(format!("cli_golden_magic_{}.koko", std::process::id()));

@@ -1,60 +1,9 @@
 //! Storage-layer integration: indices and parsed articles survive a
 //! round-trip through the on-disk format ("Indices can be persisted for
-//! subsequent use", §3).
+//! subsequent use", §3) — the `.koko` snapshot, the one format KOKO
+//! persists.
 
 use koko::nlp::Pipeline;
-use koko::storage::{Db, DocStore};
-
-#[test]
-fn docstore_and_closure_tables_round_trip_through_a_directory() {
-    let texts = koko::corpus::wiki::generate(10, 77);
-    let corpus = Pipeline::new().parse_corpus(&texts);
-    let index = koko::index::KokoIndex::build(&corpus);
-
-    let db = Db::new();
-    let mut docs = DocStore::new();
-    for d in corpus.documents() {
-        docs.put(d);
-    }
-    db.set_docs(docs);
-    db.put_closure("pl", index.pl_index().to_closure_table());
-    db.put_closure("pos", index.pos_index().to_closure_table());
-
-    let dir = std::env::temp_dir().join("koko_it_persistence");
-    std::fs::remove_dir_all(&dir).ok();
-    db.save_dir(&dir).unwrap();
-
-    let back = Db::open_dir(&dir).unwrap();
-    assert_eq!(back.with_docs(|d| d.len()), corpus.num_documents());
-    for di in 0..corpus.num_documents() as u32 {
-        assert_eq!(&back.load_document(di).unwrap(), corpus.document(di));
-    }
-    back.with_closure("pl", |c| {
-        let c = c.expect("pl closure persisted");
-        assert_eq!(c.len(), index.pl_index().to_closure_table().len());
-    });
-    std::fs::remove_dir_all(&dir).ok();
-}
-
-#[test]
-fn closure_table_answers_hierarchy_queries_after_reload() {
-    use koko::nlp::ParseLabel;
-    let corpus = Pipeline::new()
-        .parse_corpus(&["I ate a chocolate ice cream, which was delicious, and also ate a pie."]);
-    let index = koko::index::KokoIndex::build(&corpus);
-    let ct = index.pl_index().to_closure_table();
-    let bytes = {
-        use koko::storage::Codec;
-        ct.to_bytes()
-    };
-    let back = {
-        use koko::storage::Codec;
-        koko::storage::ClosureTable::from_bytes(&bytes).unwrap()
-    };
-    // nn nodes under a dobj parent exist (Example 3.3's merged node).
-    let hits = back.nodes_with_ancestor(ParseLabel::Nn as u16, ParseLabel::Dobj as u16, Some(1));
-    assert!(!hits.is_empty());
-}
 
 #[test]
 fn query_results_identical_before_and_after_persistence() {
@@ -64,17 +13,18 @@ fn query_results_identical_before_and_after_persistence() {
     let koko_a = koko::Koko::from_corpus(corpus.clone());
     let out_a = koko_a.query(koko::queries::DATE_OF_BIRTH).unwrap();
 
-    // Persist the document store, reload, rebuild the engine from decoded
-    // documents.
-    let dir = std::env::temp_dir().join("koko_it_requery");
-    std::fs::remove_dir_all(&dir).ok();
-    koko_a.snapshot().db().save_dir(&dir).unwrap();
-    let db = Db::open_dir(&dir).unwrap();
-    let docs: Vec<koko::Document> = (0..db.with_docs(|d| d.len()) as u32)
-        .map(|i| db.load_document(i).unwrap())
+    // Persist the engine, reopen it, and also rebuild an engine from the
+    // documents decoded out of the reopened snapshot's stores.
+    let path = std::env::temp_dir().join(format!("koko_it_requery_{}.koko", std::process::id()));
+    koko_a.save(&path).unwrap();
+    let reopened = koko::Koko::open(&path).unwrap();
+    let docs: Vec<koko::Document> = (0..reopened.num_documents() as u32)
+        .map(|i| reopened.snapshot().load_document(i).unwrap())
         .collect();
+    for (i, doc) in docs.iter().enumerate() {
+        assert_eq!(doc, corpus.document(i as u32));
+    }
     let koko_b = koko::Koko::from_corpus(koko::Corpus::new(docs));
-    let out_b = koko_b.query(koko::queries::DATE_OF_BIRTH).unwrap();
 
     let key = |o: &koko::QueryOutput| {
         let mut v: Vec<String> = o
@@ -85,6 +35,9 @@ fn query_results_identical_before_and_after_persistence() {
         v.sort();
         v
     };
+    let out_reopened = reopened.query(koko::queries::DATE_OF_BIRTH).unwrap();
+    let out_b = koko_b.query(koko::queries::DATE_OF_BIRTH).unwrap();
+    assert_eq!(key(&out_a), key(&out_reopened));
     assert_eq!(key(&out_a), key(&out_b));
-    std::fs::remove_dir_all(&dir).ok();
+    std::fs::remove_file(&path).ok();
 }

@@ -389,28 +389,6 @@ fn explain_reports_are_consistent_with_the_profile() {
     }
 }
 
-/// Write an engine's snapshot as a payload-framed format-v2 file (no
-/// score-bound statistics): hand-assemble the v2 payload — embeddings,
-/// manifest, router, shard blobs, no stats section — and restamp the
-/// version. Loading it exercises the conservative-bound path exactly as
-/// a real pre-v3 file would. (Current saves use the sectioned v4 layout,
-/// so the legacy frame is synthesized rather than stripped.)
-fn strip_to_v2(koko: &Koko, path: &std::path::Path) {
-    use koko::storage::{docstore::Blob, Codec};
-    let snap = koko.snapshot();
-    let mut buf: Vec<u8> = Vec::new();
-    buf.extend_from_slice(&snap.embeddings().to_bytes());
-    buf.extend_from_slice(&snap.generation().to_bytes()); // manifest: generation
-    buf.extend_from_slice(&(snap.num_base_shards() as u64).to_bytes()); // manifest: num_base
-    buf.extend_from_slice(&snap.router().to_bytes());
-    let sections: Vec<Blob> = snap.shards().iter().map(|s| Blob(s.to_bytes())).collect();
-    buf.extend_from_slice(&sections.to_bytes());
-    koko::storage::write_snapshot_file(path, &buf).unwrap();
-    let mut data = std::fs::read(path).unwrap();
-    data[8..10].copy_from_slice(&2u16.to_le_bytes());
-    std::fs::write(path, &data).unwrap();
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
@@ -418,8 +396,9 @@ proptest! {
     /// bound pruning returns rows byte-identical (content, order, scores)
     /// to windowing the full-scan reference — across random corpora,
     /// shard counts, limits, offsets and `min_score` floors — and a
-    /// pre-v3 snapshot without bound statistics answers identically via
-    /// the conservative bound, just with less pruning.
+    /// snapshot without bound statistics (no `BOUNDS` or `BLOCKS`
+    /// sections) answers identically via the conservative bound, just
+    /// with less pruning.
     #[test]
     fn ranked_topk_is_byte_identical_to_full_scan(
         (n_docs, corpus_seed) in (1usize..14, 0u64..400),
@@ -463,17 +442,31 @@ proptest! {
             prop_assert_eq!(ranked.total_matches, full.rows.len(), "{}", &ctx);
         }
 
-        // Conservative-bound path: the same request against a v2 snapshot
-        // (statistics stripped) must answer byte-identically.
-        let path = std::env::temp_dir().join(format!(
-            "koko_ranked_v2_{}_{n_docs}_{corpus_seed}_{shards}.koko",
-            std::process::id()
+        // Conservative-bound path: the same request against a snapshot
+        // with its statistics sections stripped must answer
+        // byte-identically.
+        let pid = std::process::id();
+        let saved = std::env::temp_dir().join(format!(
+            "koko_ranked_{pid}_{n_docs}_{corpus_seed}_{shards}.koko"
         ));
-        strip_to_v2(&koko, &path);
-        let legacy = Koko::open(&path).unwrap();
+        let path = std::env::temp_dir().join(format!(
+            "koko_ranked_nostats_{pid}_{n_docs}_{corpus_seed}_{shards}.koko"
+        ));
+        koko.save(&saved).unwrap();
+        common::strip_sections(
+            &saved,
+            &path,
+            &[koko::storage::SEC_BOUNDS, koko::storage::SEC_BLOCKS],
+        );
+        let stats_less = Koko::open(&path).unwrap();
+        std::fs::remove_file(&saved).ok();
         std::fs::remove_file(&path).ok();
         prop_assert!(
-            legacy.snapshot().shards().iter().all(|s| s.bound_stats().is_none()),
+            stats_less
+                .snapshot()
+                .shards()
+                .iter()
+                .all(|s| s.bound_stats().is_none() && s.block_stats().is_none()),
             "{}: stripped file must load without stats", &ctx
         );
         let out = QueryRequest::new(q)
@@ -481,9 +474,9 @@ proptest! {
             .min_score(floor)
             .offset(offset)
             .limit(k)
-            .run(&legacy)
+            .run(&stats_less)
             .unwrap();
-        prop_assert_eq!(render_rows(&out.rows), expected, "{} (v2 conservative path)", &ctx);
+        prop_assert_eq!(render_rows(&out.rows), expected, "{} (statistics-free path)", &ctx);
     }
 }
 

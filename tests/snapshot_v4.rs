@@ -1,4 +1,4 @@
-//! The sectioned (v4) snapshot container contract, enforced end-to-end
+//! The snapshot container contract (format version 4), enforced end-to-end
 //! through the public API:
 //!
 //! * **Open equivalence** — `Snapshot::open_mmap` (the default) and the
@@ -15,8 +15,9 @@
 //! * **Append-on-add** — re-saving a grown engine to the same path
 //!   appends sealed sections instead of rewriting, and both open paths
 //!   see the new generation.
-//! * **Legacy compat** — payload-framed v1/v2 files load identically
-//!   through `Koko::open` (which falls back from mmap) and the eager path.
+//! * **One version** — a file stamped with any format version but 4
+//!   (the retired payload-framed 1–3, or a future one) is refused with
+//!   `WrongVersion` through both `Koko::open` and the eager path.
 
 use koko::{queries, EngineOpts, Error, Koko, Order, QueryRequest, Row};
 use std::path::{Path, PathBuf};
@@ -289,45 +290,44 @@ fn append_save_round_trips_through_add() {
 }
 
 #[test]
-fn legacy_payload_files_answer_identically_via_both_paths() {
-    use koko::storage::{docstore::Blob, Codec};
+fn other_format_versions_are_refused_through_both_opens() {
+    use koko::storage::SnapshotFileError;
     let built = engine(6, 907, 2);
-    let snap = built.snapshot();
+    let good = tmp("version_good.koko");
+    built.save(&good).unwrap();
+    let data = std::fs::read(&good).unwrap();
 
-    // Hand-assemble the payload-framed legacy layouts: v2 carries a
-    // manifest (generation, num_base), v1 predates it.
-    let mut shared = Vec::new();
-    shared.extend_from_slice(&snap.embeddings().to_bytes());
-    let mut v2 = shared.clone();
-    v2.extend_from_slice(&snap.generation().to_bytes());
-    v2.extend_from_slice(&(snap.num_base_shards() as u64).to_bytes());
-    let mut tail = Vec::new();
-    tail.extend_from_slice(&snap.router().to_bytes());
-    let sections: Vec<Blob> = snap.shards().iter().map(|s| Blob(s.to_bytes())).collect();
-    tail.extend_from_slice(&sections.to_bytes());
-    let v1 = [shared, tail.clone()].concat();
-    let v2 = [v2, tail].concat();
-
-    for (version, payload) in [(1u16, v1), (2u16, v2)] {
-        let path = tmp(&format!("legacy_v{version}.koko"));
-        koko::storage::write_snapshot_file(&path, &payload).unwrap();
-        let mut data = std::fs::read(&path).unwrap();
-        data[8..10].copy_from_slice(&version.to_le_bytes());
-        std::fs::write(&path, &data).unwrap();
-
+    // The retired payload-framed versions and the next one up: only the
+    // version field changes, so nothing but the version check can refuse.
+    for version in [1u16, 2, 3, 5] {
+        let path = tmp(&format!("version_{version}.koko"));
+        let mut restamped = data.clone();
+        restamped[8..10].copy_from_slice(&version.to_le_bytes());
+        std::fs::write(&path, &restamped).unwrap();
         for (label, opened) in [("mmap", Koko::open(&path)), ("eager", open_eager(&path))] {
-            let legacy = opened.unwrap_or_else(|e| panic!("v{version} via {label}: {e}"));
-            // v1 predates generations and forces 1; a fresh build is
-            // generation 1, so both versions land there.
-            assert_eq!(legacy.generation(), built.generation());
-            for q in PAPER_QUERIES {
-                assert_eq!(
-                    render_rows(&legacy.query(q).unwrap().rows),
-                    render_rows(&built.query(q).unwrap().rows),
-                    "{q}: v{version} via {label}"
-                );
+            match opened {
+                Err(Error::Snapshot(SnapshotFileError::WrongVersion { path: p, found })) => {
+                    assert_eq!(found, version, "{label}");
+                    assert_eq!(p, path.display().to_string(), "{label}");
+                }
+                Err(other) => panic!("v{version} via {label}: expected WrongVersion, got {other}"),
+                Ok(_) => panic!("v{version} via {label}: opened a file of another version"),
             }
         }
         std::fs::remove_file(&path).ok();
     }
+
+    // The untouched file still opens both ways and answers every paper
+    // query exactly as the engine that wrote it.
+    for (label, opened) in [("mmap", Koko::open(&good)), ("eager", open_eager(&good))] {
+        let reopened = opened.unwrap();
+        for q in PAPER_QUERIES {
+            assert_eq!(
+                render_rows(&reopened.query(q).unwrap().rows),
+                render_rows(&built.query(q).unwrap().rows),
+                "{q} via {label}"
+            );
+        }
+    }
+    std::fs::remove_file(&good).ok();
 }
